@@ -20,7 +20,6 @@ from .construction import (
     count_words,
     signed_reorder,
     signed_reorder_word,
-    span_basis,
     span_rows,
     words_iter,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "s_index",
     "signed_reorder",
     "signed_reorder_word",
-    "span_basis",
     "span_rows",
     "vandermonde_extract",
     "word_key",

@@ -19,6 +19,13 @@ Spans queried here, always inside one bi-graded component (length, degree):
   ideal           union of ideal_level rows over every level whose block
                   fits the component length.
 
+Every row has the form u * core * v, the core being a derivative D^l(w) of
+an alphabet word w (words, ideal_level) or a collision element (collisions,
+l = 0); one generator assembles them all.  Certificate indices are row
+positions, so the order is fixed: level, left length, deg u, l, core letter
+degree, then u, core and v, words in `words_iter` order and collision cores
+in `collision_elements` order.
+
 A level is degenerate when its checkpoints are not strictly increasing
 (r^k >= b^(2k-1)); its collision family is then empty because the outermost
 checkpoint position falls outside the word.  Constructors accept such
@@ -30,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from math import comb
 
 from .budgets import BudgetExceeded, Budgets, DEFAULT_BUDGETS
@@ -47,14 +55,12 @@ __all__ = [
     "ConstructionParams",
     "words_iter",
     "count_words",
-    "word_generators",
     "CollisionElement",
     "collision_test",
     "collision_elements",
     "SpanQuery",
     "SPACES",
     "span_rows",
-    "span_basis",
     "SpanOracle",
     "signed_reorder_word",
     "signed_reorder",
@@ -179,26 +185,6 @@ def count_words(length: int, degree: int) -> int:
     if length == 0:
         return 1 if degree == 0 else 0
     return comb(degree + length - 1, length - 1)
-
-
-def word_generators(params: ConstructionParams, k: int, n: int, l: int = 0,
-                    budgets: Budgets = DEFAULT_BUDGETS) -> list[FreePoly]:
-    """Order-l derivatives of all k^n words of length n over x0..x_{k-1}."""
-    params._check_level(k)
-    if n < 0 or l < 0:
-        raise ValueError("length and derivative order must be >= 0")
-    total = k**n
-    if total > budgets.max_basis_size:
-        raise BudgetExceeded(
-            f"alphabet enumeration needs {total} words (budget "
-            f"{budgets.max_basis_size})",
-            words=total,
-        )
-    field = params.field
-    out = []
-    for letters in itertools.product(range(k), repeat=n):
-        out.append(derive_iter(FreePoly.monomial(field, letters), l))
-    return out
 
 
 # -- collision elements -------------------------------------------------------
@@ -345,90 +331,76 @@ class SpanQuery:
             raise ValueError(f"space {self.space!r} needs a level >= 1")
 
 
-def _core_rows_alphabet(params, k, n, dw, l, cache):
-    """Term dicts of D^l(w) for alphabet words w of length n and degree dw."""
+def _alphabet_cores(params, k, n, cache, l, dw):
+    """Term dicts of D^l(w) for the words w of length n and degree dw over
+    x0..x_{k-1}, memoized in the oracle's shared cache."""
     key = (k, n, dw, l)
     got = cache.get(key)
     if got is None:
-        field = params.field
         got = []
         for w in words_iter(n, dw, max_letter=k - 1):
-            p = derive_iter(FreePoly.monomial(field, w), l)
+            p = derive_iter(FreePoly.monomial(params.field, w), l)
             if not p.is_zero():
                 got.append(p.terms)
         cache[key] = got
     return got
 
 
-def _rows_words_like(params, k, L, d, core_len, left_lengths, cache):
-    """Rows u * D^l(w) * v with w an alphabet word of length core_len; the
-    left factor length runs over left_lengths, the right factor fills up."""
-    for len_u in left_lengths:
+def _collision_cores(params, k, budgets, memo, l, dz):
+    """Term dicts of the level-k collision elements of degree dz.  Collision
+    rows carry no derivative, so only l = 0 has cores.  The memo lives for
+    one enumeration pass."""
+    if l:
+        return ()
+    got = memo.get(dz)
+    if got is None:
+        one = params.field.one
+        got = memo[dz] = [{w: one for w in z.words}
+                          for z in collision_elements(params, k, dz, budgets)]
+    return got
+
+
+def _block_rows(L, d, core_len, lefts, cores):
+    """Rows u * core * v of the component (L, d): u runs over the lengths in
+    lefts, each leaving room for the core, v fills up, and cores(l, dc) lists
+    the cores of derivative order l and letter degree dc.  Order: left
+    length, deg u, l, dc, then u, core and v in their enumeration order."""
+    for len_u in lefts:
         len_v = L - core_len - len_u
-        if len_v < 0:
-            continue
         for du in range(d + 1):
             for l in range(d - du + 1):
-                for dw in range(min(d - du - l, (k - 1) * core_len) + 1):
-                    dv = d - du - l - dw
-                    cores = _core_rows_alphabet(params, k, core_len, dw, l, cache)
-                    if not cores:
+                for dc in range(d - du - l + 1):
+                    found = cores(l, dc)
+                    if not found:
                         continue
+                    dv = d - du - l - dc
                     for u in words_iter(len_u, du):
-                        for core in cores:
+                        for core in found:
                             for v in words_iter(len_v, dv):
                                 yield {u + cw + v: c for cw, c in core.items()}
 
 
-def _rows_collisions(params, k, L, d, budgets):
-    N = params.block(k)
-    one = params.field.one
-    zcache: dict[int, list[CollisionElement]] = {}
-    m = 0
-    while m * N + (N - 1) <= L:
-        len_u = m * N
-        len_v = L - len_u - (N - 1)
-        for du in range(d + 1):
-            for dz in range(d - du + 1):
-                dv = d - du - dz
-                zs = zcache.get(dz)
-                if zs is None:
-                    zs = list(collision_elements(params, k, dz, budgets))
-                    zcache[dz] = zs
-                if not zs:
-                    continue
-                for u in words_iter(len_u, du):
-                    for z in zs:
-                        for v in words_iter(len_v, dv):
-                            yield {u + w + v: one for w in z.words}
-        m += 1
-
-
 def _dispatch_rows(params, query, budgets, cache):
-    space, L, d, k = query.space, query.length, query.degree, query.level
-    if space == "collisions":
-        yield from _rows_collisions(params, k, L, d, budgets)
+    space, L, d = query.space, query.length, query.degree
+    if space == "ideal":
+        # every level whose block fits the length, whether or not k_max does
+        levels = itertools.takewhile(lambda j: params.base ** (j * j) <= L,
+                                     itertools.count(1))
     elif space == "collisions_sum":
-        for level in range(1, k + 1):
-            yield from _rows_collisions(params, level, L, d, budgets)
-    elif space == "words":
-        N = params.block(k)
-        lefts = [m * N for m in range(L // N + 1) if m * N + N <= L]
-        yield from _rows_words_like(params, k, L, d, N, lefts, cache)
-    elif space == "ideal_level":
-        N2 = 2 * params.block(k)
-        lefts = list(range(0, max(L - N2, -1) + 1))
-        yield from _rows_words_like(params, k, L, d, N2, lefts, cache)
-    else:  # ideal: every level whose block fits the length
-        k = 1
-        while True:
-            N = params.base ** (k * k)
-            if N > L:
-                break
-            N2 = 2 * N
-            lefts = list(range(0, max(L - N2, -1) + 1))
-            yield from _rows_words_like(params, k, L, d, N2, lefts, cache)
-            k += 1
+        levels = range(1, query.level + 1)
+    else:
+        levels = (query.level,)
+    for k in levels:
+        N = params.base ** (k * k) if space == "ideal" else params.block(k)
+        # cores start at multiples of N, except two-block ideal cores: anywhere
+        if space in ("collisions", "collisions_sum"):
+            core_len, stride = N - 1, N
+            cores = partial(_collision_cores, params, k, budgets, {})
+        else:
+            core_len, stride = (N, N) if space == "words" else (2 * N, 1)
+            cores = partial(_alphabet_cores, params, k, core_len, cache)
+        yield from _block_rows(L, d, core_len, range(0, L - core_len + 1, stride),
+                               cores)
 
 
 def span_rows(params: ConstructionParams, query: SpanQuery,
@@ -455,13 +427,6 @@ def span_rows(params: ConstructionParams, query: SpanQuery,
         yield row
 
 
-def span_basis(params: ConstructionParams, query: SpanQuery,
-               budgets: Budgets = DEFAULT_BUDGETS) -> list[FreePoly]:
-    """The spanning family as polynomials (unreduced, possibly dependent)."""
-    field = params.field
-    return [FreePoly(field, row) for row in span_rows(params, query, budgets)]
-
-
 # -- membership oracle --------------------------------------------------------
 
 
@@ -478,8 +443,7 @@ class SpanOracle:
     def echelon(self, query: SpanQuery) -> Echelon:
         ech = self._echelons.get(query)
         if ech is None:
-            ech = Echelon(self.params.field, track_combinations=True,
-                          max_rows=self.budgets.max_basis_size)
+            ech = Echelon(self.params.field, max_rows=self.budgets.max_basis_size)
             # two passes with canonical indices: single-term rows claim their
             # pivots for free, after which longer rows reduce mostly against
             # trivial rows and elimination stays cheap

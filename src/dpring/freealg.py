@@ -18,22 +18,11 @@ from .fields import FieldError
 
 __all__ = [
     "FreePoly",
-    "letter_at",
     "word_stats",
     "word_key",
-    "combine",
     "derive",
     "derive_iter",
 ]
-
-
-def letter_at(word: tuple, position: int) -> int:
-    """Letter (generator index) of `word` at a 1-based position."""
-    if not 1 <= position <= len(word):
-        raise IndexError(
-            f"position exceeds length: position={position}, length={len(word)}"
-        )
-    return word[position - 1]
 
 
 def word_stats(word: tuple) -> tuple[int, int]:
@@ -227,25 +216,6 @@ class FreePoly:
 
     def __repr__(self):
         return f"FreePoly({poly_to_text(self)!r})"
-
-
-def combine(coeffs: Iterable, polys: Iterable[FreePoly]) -> FreePoly:
-    """Exact linear combination sum(c_i * p_i); lengths must match."""
-    coeffs = list(coeffs)
-    polys = list(polys)
-    if len(coeffs) != len(polys):
-        raise ValueError(
-            f"mismatched lengths: {len(coeffs)} coefficients, {len(polys)} polynomials"
-        )
-    if not polys:
-        raise ValueError("empty combination has no field to work in")
-    field = polys[0].field
-    out = FreePoly.zero(field)
-    for c, p in zip(coeffs, polys):
-        if p.field != field:
-            raise ValueError("mixed coefficient fields")
-        out = out + p.scale(c)
-    return out
 
 
 def derive(p: FreePoly) -> FreePoly:

@@ -20,6 +20,7 @@ from .construction import (
     ConstructionParams,
     SpanOracle,
     SpanQuery,
+    _usable_pairs,
     collision_test,
     count_words,
     signed_reorder,
@@ -235,24 +236,12 @@ def verify_ballot(field=None, m_max: int = 8, include_timing: bool = False) -> C
 # -- collision sampling ---------------------------------------------------------
 
 
-def _collision_pairs(params: ConstructionParams, k: int):
-    cps = params.checkpoints(k)
-    length = params.block(k) - 1
-    inner = cps[1 : k + 2]
-    return [
-        (p, q, inner[p], inner[q])
-        for p in range(k + 1)
-        for q in range(p + 1, k + 1)
-        if inner[p] < inner[q] <= length
-    ]
-
-
 def _sample_collision(params: ConstructionParams, k: int, rng: random.Random,
                       degree_cap: int | None = None):
     """One random collision element at level k, sparse enough that its
     component stays small; returns the witnessing element."""
     length = params.block(k) - 1
-    pairs = _collision_pairs(params, k)
+    pairs = _usable_pairs(params, k)
     if not pairs:
         raise ValueError(f"level {k} has no usable checkpoint pairs")
     while True:
@@ -291,7 +280,10 @@ def verify_z_closure(params: ConstructionParams, samples: int = 25, seed: int = 
     is a member of its own component's span, and D(z) is a member of the span
     one degree up.  The certificates of the first verify_limit samples per
     level are additionally re-verified against a regenerated spanning family.
+    Sampled elements have degree below degree_cap, so the cap must be >= 1.
     """
+    if degree_cap is not None and degree_cap < 1:
+        raise ValueError(f"degree_cap must be >= 1, got {degree_cap}")
     field = params.field
     rep = CampaignReport("z_closure", {**_params_dict(params),
                                        "samples": samples,

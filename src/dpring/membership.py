@@ -65,24 +65,21 @@ def add_into(field, target: dict, src: dict, c):
 
 
 class Echelon:
-    def __init__(self, field, track_combinations: bool = True, max_rows: int | None = None):
+    def __init__(self, field, max_rows: int | None = None):
         self.field = field
         self.rows: dict[tuple, dict] = {}  # pivot word -> normalized row
         # pivot -> (original index, normalizing scalar, pivots its reduction used)
         self.history: dict[tuple, tuple[int, object, dict]] = {}
         self._flat_cache: dict[tuple, dict[int, object]] = {}
-        self.track = track_combinations
         self.max_rows = max_rows
         self.inserted = 0  # one past the largest original index seen
 
     def __len__(self) -> int:
         return len(self.rows)
 
-    def pivots(self) -> list[tuple]:
-        return sorted(self.rows, key=word_key)
-
-    def _reduce(self, vec: dict, want_used: bool):
-        """Residue of vec and the pivot multiples subtracted to reach it."""
+    def reduce(self, vec: dict) -> tuple[dict, dict[tuple, object]]:
+        """Residue of vec modulo the current rows, plus the multiple of each
+        pivot row that was subtracted along the way."""
         field = self.field
         fsub, fmul = field.sub, field.mul
         vec = {w: v for w, v in vec.items() if v}
@@ -115,14 +112,8 @@ class Echelon:
                         vec[m] = nv
                     else:
                         del vec[m]
-            if want_used:
-                used[w] = c
+            used[w] = c
         return vec, used
-
-    def reduce(self, vec: dict) -> tuple[dict, dict[tuple, object]]:
-        """Residue of vec modulo the current rows, plus the multiple of each
-        pivot row that was subtracted along the way."""
-        return self._reduce(vec, True)
 
     def insert(self, vec: dict, index: int | None = None) -> tuple | None:
         """Add a vector to the family.  Returns the new pivot word, or None
@@ -134,7 +125,7 @@ class Echelon:
         """
         idx = self.inserted if index is None else index
         self.inserted = max(self.inserted, idx + 1)
-        residue, used = self._reduce(vec, self.track)
+        residue, used = self.reduce(vec)
         if not residue:
             return None
         if self.max_rows is not None and len(self.rows) >= self.max_rows:
@@ -146,8 +137,7 @@ class Echelon:
         inv = field.inv(residue[pivot])
         fmul = field.mul
         self.rows[pivot] = {w: fmul(inv, v) for w, v in residue.items()}
-        if self.track:
-            self.history[pivot] = (idx, inv, used)
+        self.history[pivot] = (idx, inv, used)
         return pivot
 
     def _flat(self, pivot: tuple) -> dict[int, object]:
@@ -178,16 +168,10 @@ class Echelon:
             stack.pop()
         return cache[pivot]
 
-    def contains(self, vec: dict) -> bool:
-        residue, _ = self._reduce(vec, False)
-        return not residue
-
     def member_combination(self, vec: dict) -> list[tuple[int, object]] | None:
         """Combination of inserted vectors equal to vec, or None if outside
-        the span.  Requires combination tracking."""
-        if not self.track:
-            raise ValueError("echelon was built without combination tracking")
-        residue, used = self._reduce(vec, True)
+        the span."""
+        residue, used = self.reduce(vec)
         if residue:
             return None
         field = self.field
@@ -205,7 +189,7 @@ class Echelon:
         value is forced by its own row, solved in descending pivot order so
         every later word is already known.
         """
-        residue, _ = self._reduce(vec, False)
+        residue, _ = self.reduce(vec)
         if not residue:
             return None
         field = self.field

@@ -3,7 +3,8 @@
 Elements are finite sums a_t X^t with free-algebra coefficients; the variable
 obeys X*a = a*X + derive(a).  Pushing X^n past a coefficient uses the closed
 form X^n a = sum_k C(n, k) * derive^k(a) * X^(n-k); binomials are computed
-over the integers and then mapped into the scalar field.
+over the integers and then mapped into the scalar field.  `skew_product`
+applies that rule for `OrePoly` here and for `MatSkewPoly` in `series`.
 
 Two expansion routes are provided for powers of (x0 X): `expand_power`
 multiplies out step by step through the generic product, `expand_power_window`
@@ -23,6 +24,7 @@ from .freealg import FreePoly, derive, poly_from_text, poly_to_text
 
 __all__ = [
     "OrePoly",
+    "skew_product",
     "commute_past",
     "expand_power",
     "expand_power_window",
@@ -99,21 +101,9 @@ class OrePoly:
 
     def __mul__(self, other: "OrePoly") -> "OrePoly":
         self._check_compatible(other)
-        out: dict[int, FreePoly] = {}
-        for i, a in self.coeffs.items():
-            for j, b in other.coeffs.items():
-                moved = commute_past(b, i)  # X^i * b
-                for t, c in moved.coeffs.items():
-                    p = a * c
-                    if p.is_zero():
-                        continue
-                    q = out.get(t + j)
-                    s = p if q is None else q + p
-                    if s.is_zero():
-                        out.pop(t + j, None)
-                    else:
-                        out[t + j] = s
-        return OrePoly(self.field, out)
+        return OrePoly(self.field, skew_product(
+            self.field, self.coeffs, other.coeffs, derive, _scaled_product,
+            FreePoly.__add__, FreePoly.is_zero))
 
     def __eq__(self, other) -> bool:
         return (
@@ -135,25 +125,47 @@ class OrePoly:
         return f"OrePoly({ore_to_text(self)!r})"
 
 
+def skew_product(field, left: dict, right: dict, derive, mul, add, is_zero) -> dict:
+    """Coefficients of (sum a_i X^i) * (sum b_j X^j), factors given as
+    exponent -> coefficient maps, in any ring with X b = b X + derive(b).
+
+    X^i passes b_j by the closed form, each binomial reduced into the field
+    first.  `mul(a, b, w)` returns a * (w b) for a nonzero scalar w; `add`
+    and `is_zero` act on coefficients.  Zero sums are dropped.
+    """
+    out: dict = {}
+    for i, a in left.items():
+        for j, b in right.items():
+            dtb = b
+            for t in range(i + 1):
+                if t:
+                    dtb = derive(dtb)
+                if is_zero(dtb):
+                    break  # all higher derivatives vanish as well
+                w = field.from_int(comb(i, t))
+                if not w:
+                    continue
+                p = mul(a, dtb, w)
+                e = i - t + j
+                q = out.get(e)
+                s = p if q is None else add(q, p)
+                if is_zero(s):
+                    out.pop(e, None)
+                else:
+                    out[e] = s
+    return out
+
+
+def _scaled_product(a: FreePoly, b: FreePoly, w) -> FreePoly:
+    return a * b.scale(w)
+
+
 def commute_past(a: FreePoly, n: int) -> OrePoly:
     """X^n * a as an OrePoly, via the closed commutation form."""
     if n < 0:
         raise ValueError("exponent must be >= 0")
     field = a.field
-    out: dict[int, FreePoly] = {}
-    dk = a
-    for k in range(n + 1):
-        if k:
-            dk = derive(dk)
-        if dk.is_zero():
-            break  # all higher derivatives vanish as well
-        c = field.from_int(comb(n, k))
-        if not c:
-            continue
-        p = dk.scale(c)
-        if not p.is_zero():
-            out[n - k] = p
-    return OrePoly(field, out)
+    return OrePoly(field, {n: FreePoly.one(field)}) * OrePoly(field, {0: a})
 
 
 def expand_power(field, m: int, max_expand_m: int | None = None) -> OrePoly:

@@ -12,7 +12,7 @@ identity can be checked exactly.
 
 from __future__ import annotations
 
-from math import comb
+from .ore import skew_product
 
 __all__ = [
     "zero_matrix",
@@ -195,31 +195,11 @@ class MatSkewPoly:
         return MatSkewPoly(f, self.D, out)
 
     def __mul__(self, other: "MatSkewPoly") -> "MatSkewPoly":
-        f, D = self.field, self.D
-        out: dict[int, tuple] = {}
-        for i, a in self.coeffs.items():
-            for j, b in other.coeffs.items():
-                # X^i b = sum_t C(i, t) D^t(b) X^(i-t)
-                dtb = b
-                for t in range(i + 1):
-                    if t:
-                        dtb = D(dtb)
-                    if mat_is_zero(dtb):
-                        break
-                    w = f.from_int(comb(i, t))
-                    if not w:
-                        continue
-                    contrib = mat_mul(f, a, mat_scale(f, dtb, w))
-                    if mat_is_zero(contrib):
-                        continue
-                    e = i - t + j
-                    cur = out.get(e)
-                    s = contrib if cur is None else mat_add(f, cur, contrib)
-                    if mat_is_zero(s):
-                        out.pop(e, None)
-                    else:
-                        out[e] = s
-        return MatSkewPoly(f, D, out)
+        f = self.field
+        return MatSkewPoly(f, self.D, skew_product(
+            f, self.coeffs, other.coeffs, self.D,
+            lambda a, b, w: mat_mul(f, a, mat_scale(f, b, w)),
+            lambda a, b: mat_add(f, a, b), mat_is_zero))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, MatSkewPoly) and other.coeffs == self.coeffs)

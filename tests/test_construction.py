@@ -1,4 +1,6 @@
 """Checkpoint parameters, collision families, span oracles, signed reorder."""
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,9 +17,7 @@ from dpring.construction import (
     count_words,
     signed_reorder,
     signed_reorder_word,
-    span_basis,
     span_rows,
-    word_generators,
     words_iter,
 )
 from dpring.fields import PrimeField, RationalField
@@ -116,17 +116,6 @@ def test_words_iter_matches_dimension(length, degree):
     assert all(word_stats(w) == (length, degree) for w in ws)
 
 
-def test_word_generators():
-    gens = word_generators(P222, 2, 2, l=0)
-    assert len(gens) == 4  # 2 letters, length 2
-    texts = {poly_to_text(g) for g in gens}
-    assert "1*x0.x1" in texts and "1*x1.x1" in texts
-    derived = word_generators(P222, 2, 1, l=1)
-    assert derived[0] == derive(FreePoly.generator(Q, 0))
-    with pytest.raises(BudgetExceeded):
-        word_generators(P222, 2, 30, budgets=Budgets(max_basis_size=100))
-
-
 # -- collision elements --------------------------------------------------------------
 
 
@@ -217,6 +206,8 @@ def test_span_query_validation():
 def test_span_rows_frozen_counts():
     # one level-one block plus a filler letter
     assert len(list(span_rows(P10, SpanQuery("collisions", 9, 1, level=1)))) == 8
+    assert list(span_rows(P10, SpanQuery("collisions", 9, 0, level=1))) == [
+        {(0,) * 9: 1}]
     assert len(list(span_rows(P10, SpanQuery("words", 20, 0, level=1)))) == 2
     assert len(list(span_rows(P10, SpanQuery("words", 20, 1, level=1)))) == 22
     assert len(list(span_rows(P10, SpanQuery("ideal_level", 20, 0, level=1)))) == 1
@@ -232,9 +223,30 @@ def test_span_rows_budgets():
                        Budgets(max_basis_size=10)))
 
 
-def test_span_basis_polynomials():
-    polys = span_basis(P10, SpanQuery("collisions", 9, 0, level=1))
-    assert polys == [FreePoly.monomial(Q, (0,) * 9)]
+# Row streams pinned by count and by sha256 of repr(list(span_rows(...))).
+# Certificate indices are row positions, so any change of row order breaks
+# stored certificates even when the spanned space is unchanged.
+PINNED_STREAMS = [
+    ((3, 2, 2, Q), SpanQuery("collisions_sum", 80, 1, level=2), 2216,
+     "5e990219fe50f59da91c035f058fc4588440f219ef246ca3463d047f39d9348b"),
+    ((2, 2, 2, Q), SpanQuery("ideal", 36, 1), 1274,
+     "7d2ac6e617d6cc31960b0fa0af878a14845de17d6abe7e047ffecfe772106bac"),
+    ((2, 2, 2, Q), SpanQuery("ideal_level", 36, 1, level=2), 185,
+     "35469861adf630835a7262f4c0d95afce2150a4863932395c6c6a776a6869f29"),
+    ((10, 3, 1, Q), SpanQuery("words", 30, 2, level=1), 693,
+     "b5f78fd8e72de18627614464c22f05b762b796bae534341a7824c530f2ebddf0"),
+    ((10, 3, 1, Q), SpanQuery("collisions", 19, 2, level=1), 344,
+     "64fefb37d2325c0aeae4bd69db49534a4b57822468372af6bf3ba27999a83c76"),
+    ((4, 2, 1, PrimeField(7)), SpanQuery("collisions", 15, 2, level=1), 424,
+     "06d77a5f5239e8016d127e1ace4785eb3538d8aa2daca6c69060d036b50dbec7"),
+]
+
+
+@pytest.mark.parametrize("params, query, count, digest", PINNED_STREAMS)
+def test_span_rows_pinned_streams(params, query, count, digest):
+    rows = list(span_rows(ConstructionParams(*params), query))
+    assert len(rows) == count
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
 
 
 def test_ideal_truncates_by_length():

@@ -6,10 +6,8 @@ from hypothesis import strategies as st
 from dpring.fields import PrimeField, RationalField
 from dpring.freealg import (
     FreePoly,
-    combine,
     derive,
     derive_iter,
-    letter_at,
     poly_from_text,
     poly_to_text,
     word_key,
@@ -29,12 +27,6 @@ def mono(word, coeff=1):
 def test_word_helpers():
     assert word_stats(()) == (0, 0)
     assert word_stats((0, 2, 1)) == (3, 3)
-    assert letter_at((4, 7, 1), 1) == 4
-    assert letter_at((4, 7, 1), 3) == 1
-    with pytest.raises(IndexError):
-        letter_at((4, 7, 1), 0)
-    with pytest.raises(IndexError):
-        letter_at((4, 7, 1), 4)
     # length dominates, then lexicographic
     assert sorted([(1, 0), (0, 1), (2,), (0, 0, 0)], key=word_key) == [
         (2,), (0, 1), (1, 0), (0, 0, 0)]
@@ -117,15 +109,6 @@ def test_mixed_fields_rejected():
         mono((0,)) + FreePoly.generator(PrimeField(3), 0)
     with pytest.raises(TypeError):
         mono((0,)) * 3
-
-
-def test_combine():
-    p, q = mono((0,)), mono((1,))
-    assert combine([2, -1], [p, q]) == p.scale(2) - q
-    with pytest.raises(ValueError):
-        combine([1], [p, q])
-    with pytest.raises(ValueError):
-        combine([], [])
 
 
 # -- derivation -----------------------------------------------------------------

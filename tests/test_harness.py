@@ -105,6 +105,20 @@ def test_verify_z_closure_level_two():
     assert rep.verdict == "pass"
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_verify_z_closure_rejects_degree_cap_below_one(cap):
+    # every collision element has degree >= 0, so sampling under such a cap
+    # would reject forever
+    with pytest.raises(ValueError, match="degree_cap"):
+        verify_z_closure(P10, samples=1, seed=0, degree_cap=cap)
+    with pytest.raises(ValueError, match="degree_cap"):
+        run_campaign("z_closure", P10, knobs={"degree_cap": cap})
+
+
+def test_verify_z_closure_degree_cap_one():
+    assert verify_z_closure(P10, samples=3, seed=0, degree_cap=1).verdict == "pass"
+
+
 def test_verify_inclusions():
     rep = verify_inclusions(P10, k=1, degree_cap=1)
     assert rep.verdict == "pass"
