@@ -346,34 +346,40 @@ def _alphabet_cores(params, k, n, cache, l, dw):
     return got
 
 
-def _collision_cores(params, k, budgets, memo, l, dz):
-    """Term dicts of the level-k collision elements of degree dz.  Collision
-    rows carry no derivative, so only l = 0 has cores.  The memo lives for
-    one enumeration pass."""
+def _collision_cores(params, k, budgets, cache, l, dz):
+    """Term dicts of the level-k collision elements of degree dz, memoized
+    in the oracle's shared cache.  Collision rows carry no derivative, so
+    only l = 0 has cores."""
     if l:
         return ()
-    got = memo.get(dz)
+    key = ("collisions", k, dz)
+    got = cache.get(key)
     if got is None:
         one = params.field.one
-        got = memo[dz] = [{w: one for w in z.words}
-                          for z in collision_elements(params, k, dz, budgets)]
+        got = cache[key] = [{w: one for w in z.words}
+                            for z in collision_elements(params, k, dz, budgets)]
     return got
 
 
 def _block_rows(L, d, core_len, lefts, cores):
     """Rows u * core * v of the component (L, d): u runs over the lengths in
     lefts, each leaving room for the core, v fills up, and cores(l, dc) lists
-    the cores of derivative order l and letter degree dc.  Order: left
-    length, deg u, l, dc, then u, core and v in their enumeration order."""
+    the cores of derivative order l and letter degree dc; it is not asked
+    when no u or no v fits.  Order: left length, deg u, l, dc, then u, core
+    and v in their enumeration order."""
     for len_u in lefts:
         len_v = L - core_len - len_u
         for du in range(d + 1):
+            if not count_words(len_u, du):
+                continue
             for l in range(d - du + 1):
                 for dc in range(d - du - l + 1):
+                    dv = d - du - l - dc
+                    if not count_words(len_v, dv):
+                        continue
                     found = cores(l, dc)
                     if not found:
                         continue
-                    dv = d - du - l - dc
                     for u in words_iter(len_u, du):
                         for core in found:
                             for v in words_iter(len_v, dv):
@@ -395,7 +401,7 @@ def _dispatch_rows(params, query, budgets, cache):
         # cores start at multiples of N, except two-block ideal cores: anywhere
         if space in ("collisions", "collisions_sum"):
             core_len, stride = N - 1, N
-            cores = partial(_collision_cores, params, k, budgets, {})
+            cores = partial(_collision_cores, params, k, budgets, cache)
         else:
             core_len, stride = (N, N) if space == "words" else (2 * N, 1)
             cores = partial(_alphabet_cores, params, k, core_len, cache)
@@ -478,10 +484,12 @@ class SpanOracle:
         if self._check_query_input(a, query):
             return MembershipCertificate("member", combination=[])
         ech = self.echelon(query)
-        combo = ech.member_combination(a.terms)
+        reduced = ech.reduce(a.terms)
+        combo = ech.member_combination(a.terms, reduced)
         if combo is not None:
             return MembershipCertificate("member", combination=combo)
-        return MembershipCertificate("non_member", functional=ech.functional(a.terms))
+        return MembershipCertificate("non_member",
+                                     functional=ech.functional(a.terms, reduced))
 
     def normal_form(self, a: FreePoly, query: SpanQuery) -> FreePoly:
         if self._check_query_input(a, query):

@@ -98,12 +98,6 @@ class FreePoly:
     def coeff(self, word: tuple):
         return self.terms.get(tuple(word), self.field.zero)
 
-    def support(self) -> list[tuple]:
-        return sorted(self.terms, key=word_key)
-
-    def has_unit_term(self) -> bool:
-        return () in self.terms
-
     def bigrade(self):
         """(length, degree) when homogeneous in both gradings, else None.
 
@@ -180,21 +174,6 @@ class FreePoly:
                 else:
                     out.pop(w, None)
         return FreePoly(field, out)
-
-    def mul_letter(self, index: int, scalar=None) -> "FreePoly":
-        """Right-multiply by a single generator, optionally scaled.
-
-        Equivalent to `self * FreePoly.monomial(field, (index,), scalar)` but
-        avoids the generic product in hot loops.
-        """
-        field = self.field
-        scalar = field.one if scalar is None else scalar
-        if not scalar:
-            return FreePoly(field, {})
-        mul = field.mul
-        return FreePoly(
-            field, {w + (index,): mul(c, scalar) for w, c in self.terms.items()}
-        )
 
     def __eq__(self, other) -> bool:
         return (

@@ -22,14 +22,13 @@ from .construction import (
     SpanQuery,
     _usable_pairs,
     collision_test,
-    count_words,
     signed_reorder,
     signed_reorder_word,
     span_rows,
     words_iter,
 )
 from .fields import RationalField
-from .freealg import FreePoly, derive, word_stats
+from .freealg import FreePoly, derive
 from .ore import expand_power, expand_power_window, is_ballot_word
 from .series import (
     InnerDerivation,

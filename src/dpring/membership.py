@@ -5,7 +5,9 @@ incrementally built row-echelon family: each stored row is normalized so its
 smallest word (by length, then lexicographic order) has coefficient one, and
 that word is the row's pivot.  No back-substitution is performed; reduction
 eliminates pivots in increasing word order with a heap, which is safe because
-eliminating a pivot only introduces words larger than it.
+eliminating a pivot only introduces words larger than it.  A pivot whose row
+is the bare monomial is eliminated outright, without entering the heap: in
+the block-aligned span families almost every pivot row is one.
 
 Combination tracking is lazy: each pivot row remembers only which earlier
 pivots its reduction used, and combinations over the original insertion
@@ -14,8 +16,10 @@ Bulk insertion therefore costs no more than the elimination itself.
 
 Membership answers come with checkable certificates: a member is an explicit
 combination of the inserted vectors, a non-member a finite linear functional
-that kills every inserted vector but not the query.  Verification redoes the
-arithmetic directly and never trusts the elimination.
+that kills every inserted vector but not the query.  Both are built from one
+`reduce`, which a caller needing either answer can pass in instead of
+reducing twice.  Verification redoes the arithmetic directly and never trusts
+the elimination.
 """
 
 from __future__ import annotations
@@ -81,12 +85,22 @@ class Echelon:
         """Residue of vec modulo the current rows, plus the multiple of each
         pivot row that was subtracted along the way."""
         field = self.field
-        fsub, fmul = field.sub, field.mul
-        vec = {w: v for w, v in vec.items() if v}
+        fsub, fmul, fneg = field.sub, field.mul, field.neg
+        rows = self.rows
+        # monomial pivots leave at once; the rest go through the heap
         used: dict[tuple, object] = {}
+        rest: dict = {}
+        for w, v in vec.items():
+            if not v:
+                continue
+            row = rows.get(w)
+            if row is not None and len(row) == 1:
+                used[w] = v
+            else:
+                rest[w] = v
+        vec = rest
         heap = [(word_key(w), w) for w in vec]
         heapq.heapify(heap)
-        rows = self.rows
         while heap:
             _, w = heapq.heappop(heap)
             c = vec.get(w)
@@ -104,7 +118,18 @@ class Echelon:
                     continue
                 cur = vec.get(m)
                 if cur is None:
-                    vec[m] = field.neg(cv)
+                    row_m = rows.get(m)
+                    if row_m is not None and len(row_m) == 1:
+                        # never in vec; a word dropped earlier may come
+                        # back here, so its multiple accumulates
+                        cur = used.get(m)
+                        nv = fneg(cv) if cur is None else fsub(cur, cv)
+                        if nv:
+                            used[m] = nv
+                        else:
+                            del used[m]
+                        continue
+                    vec[m] = fneg(cv)
                     heapq.heappush(heap, (word_key(m), m))
                 else:
                     nv = fsub(cur, cv)
@@ -168,10 +193,11 @@ class Echelon:
             stack.pop()
         return cache[pivot]
 
-    def member_combination(self, vec: dict) -> list[tuple[int, object]] | None:
+    def member_combination(self, vec: dict, reduced: tuple | None = None
+                           ) -> list[tuple[int, object]] | None:
         """Combination of inserted vectors equal to vec, or None if outside
-        the span."""
-        residue, used = self.reduce(vec)
+        the span.  `reduced` is reduce(vec), when the caller already has it."""
+        residue, used = self.reduce(vec) if reduced is None else reduced
         if residue:
             return None
         field = self.field
@@ -180,23 +206,26 @@ class Echelon:
             add_into(field, combo, self._flat(p), c)
         return sorted(combo.items())
 
-    def functional(self, vec: dict) -> dict[tuple, object] | None:
+    def functional(self, vec: dict, reduced: tuple | None = None
+                   ) -> dict[tuple, object] | None:
         """Linear functional vanishing on every inserted vector with value one
-        on vec, or None when vec lies in the span.
+        on vec, or None when vec lies in the span.  `reduced` is reduce(vec),
+        when the caller already has it.
 
         Values are fixed on non-pivot words first (one on the residue's
         smallest word after normalization, zero elsewhere), then each pivot's
         value is forced by its own row, solved in descending pivot order so
-        every later word is already known.
+        every later word is already known.  A monomial row forces zero.
         """
-        residue, _ = self.reduce(vec)
+        residue, _ = self.reduce(vec) if reduced is None else reduced
         if not residue:
             return None
         field = self.field
         fadd, fmul = field.add, field.mul
         marked = min(residue, key=word_key)
         y: dict[tuple, object] = {marked: field.inv(residue[marked])}
-        for pivot in sorted(self.rows, key=word_key, reverse=True):
+        multi = [p for p, row in self.rows.items() if len(row) > 1]
+        for pivot in sorted(multi, key=word_key, reverse=True):
             row = self.rows[pivot]
             acc = field.zero
             for w, c in row.items():

@@ -8,9 +8,9 @@ applies that rule for `OrePoly` here and for `MatSkewPoly` in `series`.
 
 Two expansion routes are provided for powers of (x0 X): `expand_power`
 multiplies out step by step through the generic product, `expand_power_window`
-runs a pruned recursion that only tracks the exponents at or above a window
-floor.  They are deliberately independent so each can be checked against the
-other.
+writes the coefficients at or above a window floor in closed form, one
+binomial product per word.  They are deliberately independent so each can be
+checked against the other.
 """
 
 from __future__ import annotations
@@ -69,11 +69,6 @@ class OrePoly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def degree(self) -> int:
-        if not self.coeffs:
-            raise ValueError("the zero polynomial has no degree")
-        return max(self.coeffs)
 
     def _check_compatible(self, other: "OrePoly"):
         if not isinstance(other, OrePoly):
@@ -192,43 +187,42 @@ def expand_power(field, m: int, max_expand_m: int | None = None) -> OrePoly:
 
 
 def expand_power_window(field, m: int, floor: int) -> dict[int, FreePoly]:
-    """Coefficients a_t of (x0 X)^m for all t >= floor.
+    """Coefficients a_t of (x0 X)^m for all t >= floor, in closed form.
 
-    Step recursion: with (x0 X)^s = sum_j a_j X^j, right multiplication by
-    x0 X sends a_j into the exponents t = j - k + 1 for k = 0..j with weight
-    C(j, k) and an appended letter x_k.  Exponents needed at the end only
-    ever reach down by one per remaining step, so at step s everything below
-    floor - (m - s) is pruned.  The window keeps the coefficient degree
-    bounded by m - floor throughout.
+    Right multiplication by x0 X sends a_j X^j to sum_k C(j, k) a_j x_k
+    X^(j-k+1), so a word w of length m carries the weight
+    prod_s C(j_{s-1}, w_s) with j_s = s - (w_1 + .. + w_s), and lands in
+    a_t for t = m - deg w.  The window bounds deg w by m - floor.  A
+    depth-first walk places only the nonzero letters, each word is built
+    once, and since weights only multiply, a weight of zero in the field
+    (over GF(p)) prunes the whole subtree.
     """
     if floor > m:
         raise ValueError(f"window floor {floor} exceeds the exponent {m}")
     if m < 0:
         raise ValueError("exponent must be >= 0")
-    if m == 0:
-        return {0: FreePoly.one(field)} if floor <= 0 else {}
-    cur: dict[int, FreePoly] = {1: FreePoly.generator(field, 0)}
-    for s in range(2, m + 1):
-        lo = max(1, floor - (m - s))
-        nxt: dict[int, FreePoly] = {}
-        for j, a in cur.items():
-            # k runs while the landing exponent j - k + 1 stays in window
-            for k in range(0, min(j, j + 1 - lo) + 1):
-                w = field.from_int(comb(j, k))
-                if not w:
-                    continue
-                p = a.mul_letter(k, w)
-                if p.is_zero():
-                    continue
-                t = j - k + 1
-                q = nxt.get(t)
-                s2 = p if q is None else q + p
-                if s2.is_zero():
-                    nxt.pop(t, None)
-                else:
-                    nxt[t] = s2
-        cur = nxt
-    return {t: p for t, p in cur.items() if t >= floor}
+    budget = m - max(floor, 0)
+    from_int = field.from_int
+    out: dict[int, dict] = {}
+    # (word up to its last nonzero letter, its degree, its integer weight
+    # and that weight in the field)
+    stack = [((), 0, 1, field.one)]
+    while stack:
+        head, deg, n, w = stack.pop()
+        q = len(head)
+        out.setdefault(m - deg, {})[head + (0,) * (m - q)] = w
+        room = budget - deg
+        if room <= 0:
+            continue
+        for s in range(q + 1, m + 1):  # position of the next nonzero letter
+            j = s - 1 - deg  # X-exponent reached by the first s - 1 letters
+            lead = head + (0,) * (s - 1 - q)
+            for k in range(1, min(j, room) + 1):
+                nk = n * comb(j, k)
+                wk = from_int(nk)
+                if wk:
+                    stack.append((lead + (k,), deg + k, nk, wk))
+    return {t: FreePoly(field, out[t]) for t in sorted(out, reverse=True)}
 
 
 def is_ballot_word(word: tuple) -> bool:

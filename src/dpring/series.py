@@ -16,7 +16,6 @@ from .ore import skew_product
 
 __all__ = [
     "zero_matrix",
-    "unit_matrix",
     "identity_matrix",
     "mat_add",
     "mat_sub",
@@ -31,8 +30,6 @@ __all__ = [
     "invert_one_minus",
     "coefficient_identity",
     "vandermonde_extract",
-    "parse_matrix_grid",
-    "matrix_to_grid",
 ]
 
 
@@ -41,16 +38,6 @@ __all__ = [
 
 def zero_matrix(field, n: int) -> tuple:
     return tuple((field.zero,) * n for _ in range(n))
-
-
-def unit_matrix(field, n: int, i: int, j: int) -> tuple:
-    """Matrix unit with a one in row i, column j (1-based)."""
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise IndexError(f"unit position ({i}, {j}) outside {n} x {n}")
-    return tuple(
-        tuple(field.one if (r, c) == (i - 1, j - 1) else field.zero for c in range(n))
-        for r in range(n)
-    )
 
 
 def identity_matrix(field, n: int) -> tuple:
@@ -306,24 +293,3 @@ def vandermonde_extract(field, samples, lo: int, hi: int) -> list:
                 acc = mat_sub(field, acc, mat_scale(field, out[j], pc[j]))
         out[col] = acc
     return out
-
-
-# -- text grids ----------------------------------------------------------------
-
-
-def parse_matrix_grid(field, text: str) -> tuple:
-    """Square matrix from lines of whitespace-separated scalars."""
-    rows = []
-    for line in text.strip().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        rows.append(tuple(field.parse(tok) for tok in line.split()))
-    n = len(rows)
-    if n == 0 or any(len(r) != n for r in rows):
-        raise ValueError("matrix grid must be square and non-empty")
-    return tuple(rows)
-
-
-def matrix_to_grid(field, a) -> str:
-    return "\n".join(" ".join(field.format(v) for v in row) for row in a)

@@ -244,9 +244,15 @@ PINNED_STREAMS = [
 
 @pytest.mark.parametrize("params, query, count, digest", PINNED_STREAMS)
 def test_span_rows_pinned_streams(params, query, count, digest):
-    rows = list(span_rows(ConstructionParams(*params), query))
+    params = ConstructionParams(*params)
+    rows = list(span_rows(params, query))
     assert len(rows) == count
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
+    # a cache shared across passes, as the oracle keeps it, changes nothing
+    cache = {}
+    for _ in range(2):
+        again = list(span_rows(params, query, _cache=cache))
+        assert hashlib.sha256(repr(again).encode()).hexdigest() == digest
 
 
 def test_ideal_truncates_by_length():

@@ -65,13 +65,6 @@ def test_bigrade_and_components():
     assert comps[(1, 1)] == mono((1,))
     assert p.component(2, 0) == mono((0, 0))
     assert p.component(9, 9).is_zero()
-    assert FreePoly.one(Q).has_unit_term()
-    assert not p.has_unit_term()
-
-
-def test_support_is_canonically_ordered():
-    p = mono((1, 0)) + mono((2,)) + mono((0, 1))
-    assert p.support() == [(2,), (0, 1), (1, 0)]
 
 
 # -- arithmetic -----------------------------------------------------------------
@@ -95,13 +88,6 @@ def test_scale_and_neg():
     assert p.scale(3).terms == {(0,): 6, (1,): -3}
     assert p.scale(0).is_zero()
     assert (-p) + p == FreePoly.zero(Q)
-
-
-def test_mul_letter_matches_generic_product():
-    p = mono((0, 1), 2) + mono((2,), -1)
-    assert p.mul_letter(3) == p * FreePoly.generator(Q, 3)
-    assert p.mul_letter(1, 4) == p * FreePoly.monomial(Q, (1,), 4)
-    assert p.mul_letter(1, 0).is_zero()
 
 
 def test_mixed_fields_rejected():

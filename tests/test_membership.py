@@ -71,6 +71,28 @@ def test_contains_and_reduce():
     assert set(used) == {(0,), (1,)}
 
 
+def test_monomial_pivot_dropped_then_brought_back():
+    # (1,) has a bare monomial pivot row; eliminating the smaller pivot (0,)
+    # brings (1,) back after it was dropped, so its multiple must accumulate
+    ech = Echelon(Q)
+    v = [vec(((0,), 1), ((1,), 1)), vec(((1,), 1))]
+    for row in v:
+        ech.insert(row)
+    assert ech.rows[(1,)] == vec(((1,), 1))
+    query = vec(((0,), 1), ((1,), 3), ((2,), 1))
+    residue, used = ech.reduce(query)
+    assert residue == vec(((2,), 1))
+    assert used == {(0,): 1, (1,): 2}
+    member = vec(((0,), 1), ((1,), 3))
+    combo = ech.member_combination(member)
+    assert combo == [(0, 1), (1, 2)]
+    assert verify_member_combination(Q, member, combo, lambda i: v[i])
+    # here the returning multiple cancels the dropped one exactly
+    residue, used = ech.reduce(v[0])
+    assert residue == {} and used == {(0,): 1}
+    assert ech.member_combination(v[0]) == [(0, 1)]
+
+
 def test_pivot_is_minimal_word_key():
     ech = Echelon(Q)
     # length dominates the word order, so the single-letter word wins

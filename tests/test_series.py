@@ -15,11 +15,8 @@ from dpring.series import (
     mat_is_zero,
     mat_mul,
     mat_scale,
-    matrix_to_grid,
     nil_index,
-    parse_matrix_grid,
     s_index,
-    unit_matrix,
     vandermonde_extract,
     zero_matrix,
 )
@@ -28,7 +25,12 @@ Q = RationalField()
 
 
 def e(i, j, n=3, field=Q):
-    return unit_matrix(field, n, i, j)
+    """Matrix unit with a one in row i, column j (1-based)."""
+    return tuple(
+        tuple(field.one if (r, c) == (i - 1, j - 1) else field.zero
+              for c in range(n))
+        for r in range(n)
+    )
 
 
 def random_strict_upper(rng, field, n):
@@ -46,10 +48,6 @@ def test_unit_and_identity():
     assert e(1, 2) == ((0, 1, 0), (0, 0, 0), (0, 0, 0))
     assert identity_matrix(Q, 2) == ((1, 0), (0, 1))
     assert mat_is_zero(zero_matrix(Q, 3))
-    with pytest.raises(IndexError):
-        unit_matrix(Q, 2, 0, 1)
-    with pytest.raises(IndexError):
-        unit_matrix(Q, 2, 1, 3)
 
 
 def test_mat_mul_units():
@@ -253,17 +251,3 @@ def test_vandermonde_gf_round_trip():
                 power = field.mul(power, alpha)
             samples.append((alpha, acc))
         assert vandermonde_extract(field, samples, 0, 2) == parts
-
-
-# -- grids -------------------------------------------------------------------------------
-
-
-def test_matrix_grid_round_trip():
-    m = ((0, 1, Q.inv(2)), (0, 0, -3), (0, 0, 0))
-    text = matrix_to_grid(Q, m)
-    assert text == "0 1 1/2\n0 0 -3\n0 0 0"
-    assert parse_matrix_grid(Q, text) == m
-    with pytest.raises(ValueError):
-        parse_matrix_grid(Q, "1 2\n3")
-    with pytest.raises(ValueError):
-        parse_matrix_grid(Q, "")
