@@ -3,8 +3,9 @@
 Subcommands: ``expand`` (exact noncommutative power expansion), ``member``
 (span membership with a certificate), ``verify`` (named verification
 campaigns), ``params`` (checkpoint inspection and validation), and ``series``
-(matrix series identities).  All structured output is a single JSON document
-on standard output; progress and diagnostics go to standard error.
+(the ``series`` campaign: matrix series identities).  All structured output
+is a single JSON document on standard output; progress and diagnostics go to
+standard error.
 
 Exit statuses: 0 success, 1 campaign failure, 2 usage error (argparse),
 3 validation failure, 4 budget exceeded.
@@ -253,14 +254,13 @@ def cmd_member(args, cfg: RunConfig) -> int:
 
 def cmd_verify(args, cfg: RunConfig) -> int:
     name = args.campaign
-    if name not in harness.CAMPAIGNS:
-        return _fail(EXIT_VALIDATION,
-                     f"unknown campaign {name!r} (one of {', '.join(harness.CAMPAIGNS)})",
-                     cfg.output)
+    knobs = None
+    if args.command == "series":
+        knobs = {"dimension": args.dim, "trials": args.trials}
     print(f"verify: campaign {name} with seed {cfg.seed}", file=sys.stderr)
     report = harness.run_campaign(name, cfg.params, seed=cfg.seed,
                                   include_timing=args.timing,
-                                  budgets=cfg.budgets)
+                                  budgets=cfg.budgets, knobs=knobs)
     counts = report.counts()
     print(f"verify: {name}: {counts.get('pass', 0)} pass, "
           f"{counts.get('fail', 0)} fail, verdict {report.verdict}",
@@ -288,16 +288,6 @@ def cmd_params(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_series(args, cfg: RunConfig) -> int:
-    print(f"series: dimension {args.dim}, {args.trials} trials, "
-          f"seed {cfg.seed}", file=sys.stderr)
-    report = harness.verify_series(cfg.params.field, dimension=args.dim,
-                                   trials=args.trials, seed=cfg.seed,
-                                   include_timing=args.timing)
-    _emit(report.to_dict(), cfg.output)
-    return EXIT_OK if report.verdict != "fail" else EXIT_CAMPAIGN
-
-
 # -- entry point --------------------------------------------------------------
 
 
@@ -309,8 +299,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the config seed")
     common.add_argument("--output", metavar="FILE", default=None,
                         help="write the JSON document here instead of stdout")
-    common.add_argument("--timing", action="store_true",
-                        help="include wall-clock timings in reports")
+    # only the campaign runners time anything
+    timed = argparse.ArgumentParser(add_help=False)
+    timed.add_argument("--timing", action="store_true",
+                       help="include wall-clock timings in reports")
 
     parser = argparse.ArgumentParser(
         prog="dpring",
@@ -337,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, required=True)
     p.set_defaults(func=cmd_member)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[common, timed],
                        help="run a named verification campaign")
     p.add_argument("--campaign", required=True, metavar="NAME",
                    help="one of: " + ", ".join(harness.CAMPAIGNS))
@@ -349,11 +341,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fail (status 3) when any level is degenerate")
     p.set_defaults(func=cmd_params)
 
-    p = sub.add_parser("series", parents=[common],
-                       help="check matrix series identities on random input")
+    p = sub.add_parser("series", parents=[common, timed],
+                       help="run the series campaign (matrix series identities "
+                            "on random input)")
     p.add_argument("--dim", type=int, default=3, help="matrix dimension")
     p.add_argument("--trials", type=int, default=25)
-    p.set_defaults(func=cmd_series)
+    p.set_defaults(func=cmd_verify, campaign="series")
 
     return parser
 

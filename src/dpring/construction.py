@@ -450,21 +450,19 @@ class SpanOracle:
         ech = self._echelons.get(query)
         if ech is None:
             ech = Echelon(self.params.field, max_rows=self.budgets.max_basis_size)
-            # two passes with canonical indices: single-term rows claim their
-            # pivots for free, after which longer rows reduce mostly against
-            # trivial rows and elimination stays cheap
-            multi = False
+            # one enumeration with canonical indices: single-term rows claim
+            # their pivots for free as they come, and the longer rows, held
+            # back until the end, reduce mostly against trivial rows, so
+            # elimination stays cheap
+            multi = []
             for i, row in enumerate(span_rows(self.params, query,
                                               self.budgets, self._cores)):
                 if len(row) == 1:
                     ech.insert(row, index=i)
                 else:
-                    multi = True
-            if multi:
-                for i, row in enumerate(span_rows(self.params, query,
-                                                  self.budgets, self._cores)):
-                    if len(row) > 1:
-                        ech.insert(row, index=i)
+                    multi.append((i, row))
+            for i, row in multi:
+                ech.insert(row, index=i)
             self._echelons[query] = ech
         return ech
 

@@ -3,12 +3,17 @@
 Every campaign replays a mathematical claim as a set of concrete checks,
 each backed by a certificate that can be re-verified independently of the
 data structure that produced it.  Reports are plain dictionaries rendered as
-canonical JSON: with a fixed seed two runs produce byte-identical output
-(wall-clock timings are only included on request).
+canonical JSON: with a fixed seed two runs produce byte-identical output.
+
+``run_campaign`` is the one entry point by name: it forwards knobs to the
+campaign function as keyword arguments, rejects a knob the function does not
+take with ValueError, and is the only place that times a campaign (elapsed_s
+appears only when include_timing is set).
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 import random
 import time
@@ -151,18 +156,6 @@ class CampaignReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-class _Clock:
-    def __init__(self, report: CampaignReport, include_timing: bool):
-        self.report = report
-        self.include_timing = include_timing
-        self.start = time.perf_counter()
-
-    def finish(self) -> CampaignReport:
-        if self.include_timing:
-            self.report.elapsed_s = round(time.perf_counter() - self.start, 3)
-        return self.report
-
-
 def _params_dict(params: ConstructionParams) -> dict:
     return {
         "base": params.base,
@@ -175,7 +168,7 @@ def _params_dict(params: ConstructionParams) -> dict:
 # -- ballot words in powers of the shifted generator ---------------------------
 
 
-def verify_ballot(field=None, m_max: int = 8, include_timing: bool = False) -> CampaignReport:
+def verify_ballot(field=None, m_max: int = 8) -> CampaignReport:
     """Expand (x0 X)^m for m <= m_max and audit the coefficient structure.
 
     Checked per m: the top coefficient is x0^m and the constant one is zero;
@@ -187,7 +180,6 @@ def verify_ballot(field=None, m_max: int = 8, include_timing: bool = False) -> C
     """
     field = field or RationalField()
     rep = CampaignReport("ballot", {"field": _field_label(field), "m_max": m_max})
-    clock = _Clock(rep, include_timing)
     for m in range(0, m_max + 1):
         full = expand_power(field, m, max_expand_m=max(m_max, 16))
         window = expand_power_window(field, m, 0)
@@ -229,7 +221,7 @@ def verify_ballot(field=None, m_max: int = 8, include_timing: bool = False) -> C
             )
             rep.add("every ballot word appears (converse)", f"m={m}",
                     "info" if missing == 0 else "fail", {"missing": missing})
-    return clock.finish()
+    return rep
 
 
 # -- collision sampling ---------------------------------------------------------
@@ -270,9 +262,8 @@ def _sample_collision(params: ConstructionParams, k: int, rng: random.Random,
 
 
 def verify_z_closure(params: ConstructionParams, samples: int = 25, seed: int = 0,
-                     levels=None, degree_cap: int = 6, verify_limit: int = 4,
-                     budgets: Budgets = DEFAULT_BUDGETS,
-                     include_timing: bool = False) -> CampaignReport:
+                     degree_cap: int = 6, verify_limit: int = 4,
+                     budgets: Budgets = DEFAULT_BUDGETS) -> CampaignReport:
     """Shift-derivatives of collision elements stay inside the collision span.
 
     Each sampled element z of the level-k family is checked twice: z itself
@@ -287,10 +278,8 @@ def verify_z_closure(params: ConstructionParams, samples: int = 25, seed: int = 
     rep = CampaignReport("z_closure", {**_params_dict(params),
                                        "samples": samples,
                                        "degree_cap": degree_cap}, seed=seed)
-    clock = _Clock(rep, include_timing)
     rng = random.Random(seed)
-    if levels is None:
-        levels = [k for k in range(1, params.k_max + 1) if params.level_valid(k)]
+    levels = [k for k in range(1, params.k_max + 1) if params.level_valid(k)]
     oracle = SpanOracle(params, budgets)
     for k in levels:
         length = params.block(k) - 1
@@ -326,15 +315,15 @@ def verify_z_closure(params: ConstructionParams, samples: int = 25, seed: int = 
                     f"level {k}", True,
                     {"samples": samples, "max_witness": max_witness,
                      "sample_certificate": sample_summary})
-    return clock.finish()
+    return rep
 
 
 # -- inclusions ------------------------------------------------------------------
 
 
 def verify_inclusions(params: ConstructionParams, k: int = 1, lengths=None,
-                      degree_cap: int = 2, budgets: Budgets = DEFAULT_BUDGETS,
-                      include_timing: bool = False) -> CampaignReport:
+                      degree_cap: int = 2,
+                      budgets: Budgets = DEFAULT_BUDGETS) -> CampaignReport:
     """The generated-ideal rows sit inside both the collision span and the
     word span, and the collision rows sit inside the word span.
 
@@ -349,7 +338,6 @@ def verify_inclusions(params: ConstructionParams, k: int = 1, lengths=None,
     rep = CampaignReport("inclusions", {**_params_dict(params), "level": k,
                                         "lengths": list(lengths),
                                         "degree_cap": degree_cap})
-    clock = _Clock(rep, include_timing)
     oracle = SpanOracle(params, budgets)
     for L in lengths:
         for d in range(0, degree_cap + 1):
@@ -388,7 +376,7 @@ def verify_inclusions(params: ConstructionParams, k: int = 1, lengths=None,
                     bad += 1
             rep.add("word rows lie in the collision span", f"({L}, {d})",
                     bad == 0, {"rows": checked, "failures": bad})
-    return clock.finish()
+    return rep
 
 
 # -- products of non-members -----------------------------------------------------
@@ -407,16 +395,16 @@ def _random_homogeneous(params: ConstructionParams, rng: random.Random,
 
 
 def verify_products(params: ConstructionParams, k: int = 1, trials: int = 20,
-                    h_values=(1, 2), seed: int = 0, max_tries: int = 12,
-                    budgets: Budgets = DEFAULT_BUDGETS,
-                    include_timing: bool = False) -> CampaignReport:
+                    h_values=(1, 2), seed: int = 0,
+                    budgets: Budgets = DEFAULT_BUDGETS) -> CampaignReport:
     """Products of certified non-members joined by the zeroth generator stay
     outside the collision span.
 
     Each trial draws h+1 random homogeneous elements of the block-length
     component, certifies each lies outside the level-k span (resampling
-    members, which are counted as skips), forms their x0-joined product, and
-    certifies the product outside the span of its own component.
+    members, which are counted as skips, at most 12 draws per factor), forms
+    their x0-joined product, and certifies the product outside the span of
+    its own component.
     """
     field = params.field
     N = params.block(k)
@@ -425,7 +413,6 @@ def verify_products(params: ConstructionParams, k: int = 1, trials: int = 20,
                                       "trials": trials,
                                       "h_values": list(h_values)},
                          seed=seed)
-    clock = _Clock(rep, include_timing)
     rng = random.Random(seed)
     oracle = SpanOracle(params, budgets)
     x0 = FreePoly.generator(field, 0)
@@ -438,7 +425,7 @@ def verify_products(params: ConstructionParams, k: int = 1, trials: int = 20,
         certs = []
         give_up = False
         for _ in range(h + 1):
-            for _ in range(max_tries):
+            for _ in range(12):
                 d = rng.randint(1, 2)
                 r = _random_homogeneous(params, rng, length, d)
                 q = SpanQuery("collisions", length, d, level=k)
@@ -474,7 +461,7 @@ def verify_products(params: ConstructionParams, k: int = 1, trials: int = 20,
     rep.add("x0-joined product of non-members is a non-member",
             f"level {k}", failures == 0,
             {"trials": done, "skipped_member_factors": skips})
-    return clock.finish()
+    return rep
 
 
 # -- escape of windowed coefficients ----------------------------------------------
@@ -517,21 +504,20 @@ def _descend(params: ConstructionParams, k: int, h: int, oracle: SpanOracle,
 
 
 def locate_escape(params: ConstructionParams, k: int = 1, h: int = 1,
-                  budgets: Budgets = DEFAULT_BUDGETS, oracle: SpanOracle | None = None,
-                  include_timing: bool = False) -> CampaignReport:
+                  budgets: Budgets = DEFAULT_BUDGETS,
+                  oracle: SpanOracle | None = None) -> CampaignReport:
     """Find the largest window coefficient of (x0 X)^(h*N-1) outside the
     level-k collision span and check it beats the strict threshold
     (k+2)(m+1) / (2(k+1)); coefficients above it are certified members.
     """
     field = params.field
     rep = CampaignReport("escape", {**_params_dict(params), "level": k, "h": h})
-    clock = _Clock(rep, include_timing)
     oracle = oracle or SpanOracle(params, budgets)
     m, floor, i, a, q, cert, tail = _descend(params, k, h, oracle, budgets)
     if i is None:
         rep.add("a window coefficient escapes the collision span",
                 f"m={m}", False, {"floor": floor, "note": "no escape found"})
-        return clock.finish()
+        return rep
     bound_strict = 2 * (k + 1) * i > (k + 2) * (m + 1)
     ok = (bound_strict and oracle.verify(a, q, cert)
           and all(c.kind == "member" for _, _, _, c in tail)
@@ -542,7 +528,7 @@ def locate_escape(params: ConstructionParams, k: int = 1, h: int = 1,
              "threshold": f"{(k + 2) * (m + 1)}/{2 * (k + 1)}",
              "members_above": len(tail),
              "certificate": summarize_certificate(field, cert)})
-    return clock.finish()
+    return rep
 
 
 def _random_zero_degree_poly(field, rng: random.Random) -> FreePoly:
@@ -556,8 +542,7 @@ def _random_zero_degree_poly(field, rng: random.Random) -> FreePoly:
 
 def verify_counterexample(params: ConstructionParams, h_max: int = 2,
                           products: int = 20, seed: int = 0,
-                          budgets: Budgets = DEFAULT_BUDGETS,
-                          include_timing: bool = False) -> CampaignReport:
+                          budgets: Budgets = DEFAULT_BUDGETS) -> CampaignReport:
     """The headline separation at level 1: escaped window coefficients avoid
     the truncated ideal too, while the degree-zero subalgebra is visibly nil
     modulo it.
@@ -574,7 +559,6 @@ def verify_counterexample(params: ConstructionParams, h_max: int = 2,
     rep = CampaignReport("counterexample", {**_params_dict(params),
                                             "h_max": h_max,
                                             "products": products}, seed=seed)
-    clock = _Clock(rep, include_timing)
     rng = random.Random(seed)
     oracle = SpanOracle(params, budgets)
     for h in range(1, h_max + 1):
@@ -613,7 +597,7 @@ def verify_counterexample(params: ConstructionParams, h_max: int = 2,
     rep.add("products of 2N degree-zero elements vanish modulo the ideal",
             f"lengths {min(lengths_seen)}..{max(lengths_seen)}",
             bad == 0, {"products": products, "failures": bad})
-    return clock.finish()
+    return rep
 
 
 # -- the signed checkpoint reorder --------------------------------------------
@@ -665,7 +649,7 @@ def _embedded_collision_witness(params: ConstructionParams, j: int,
 
 def verify_phi(params: ConstructionParams, kill_samples: int = 100,
                fix_samples: int = 20, preserve_trials: int = 20,
-               seed: int = 0, include_timing: bool = False) -> CampaignReport:
+               seed: int = 0) -> CampaignReport:
     """The signed checkpoint reorder at the top level kills the top collision
     family, fixes checkpoint-sorted words, signs transpositions, and carries
     embedded lower-level collision elements to embedded collision elements.
@@ -677,10 +661,9 @@ def verify_phi(params: ConstructionParams, kill_samples: int = 100,
                                  "kill_samples": kill_samples,
                                  "fix_samples": fix_samples,
                                  "preserve_trials": preserve_trials}, seed=seed)
-    clock = _Clock(rep, include_timing)
     if k is None:
         rep.add("a valid level exists for the reorder", "params", False, {})
-        return clock.finish()
+        return rep
     rng = random.Random(seed)
     N = params.block(k)
     length = N - 1
@@ -798,7 +781,7 @@ def verify_phi(params: ConstructionParams, kill_samples: int = 100,
                     f"level {j}", True,
                     {"trials": preserve_trials, "killed": killed,
                      "moved": moved})
-    return clock.finish()
+    return rep
 
 
 # -- series over nilpotent matrices ----------------------------------------------
@@ -818,7 +801,7 @@ def _random_strict_upper(field, n: int, rng: random.Random):
 
 
 def verify_series(field=None, dimension: int = 3, trials: int = 25,
-                  seed: int = 0, include_timing: bool = False) -> CampaignReport:
+                  seed: int = 0) -> CampaignReport:
     """Random inner derivations on strictly upper-triangular matrices: the
     derivation index is finite, 1 - c X^p inverts exactly once p exceeds it
     (with both product identities checked), the top coefficient of powers is
@@ -829,7 +812,6 @@ def verify_series(field=None, dimension: int = 3, trials: int = 25,
     rep = CampaignReport("series", {"field": _field_label(field),
                                     "dimension": dimension,
                                     "trials": trials}, seed=seed)
-    clock = _Clock(rep, include_timing)
     rng = random.Random(seed)
     n = dimension
     bad = 0
@@ -897,62 +879,53 @@ def verify_series(field=None, dimension: int = 3, trials: int = 25,
                     f"trial {t}", False, {"degrees": [lo, hi]})
     rep.add("sampled evaluations recover the graded components exactly",
             f"{n} x {n}", bad == 0, {"trials": trials})
-    return clock.finish()
+    return rep
 
 
 # -- registry --------------------------------------------------------------------
 
 
-CAMPAIGNS = ("ballot", "z_closure", "inclusions", "products", "escape",
-             "counterexample", "phi", "series")
+_RUNNERS = {
+    "ballot": verify_ballot,
+    "z_closure": verify_z_closure,
+    "inclusions": verify_inclusions,
+    "products": verify_products,
+    "escape": locate_escape,
+    "counterexample": verify_counterexample,
+    "phi": verify_phi,
+    "series": verify_series,
+}
+CAMPAIGNS = tuple(_RUNNERS)
 
 
 def run_campaign(name: str, params: ConstructionParams | None = None, *,
                  seed: int = 0, include_timing: bool = False,
                  budgets: Budgets = DEFAULT_BUDGETS,
                  knobs: dict | None = None) -> CampaignReport:
-    """Dispatch a named campaign with its relevant knobs.
+    """Run a named campaign and, when include_timing is set, record its
+    wall-clock time in the report's elapsed_s.
 
-    Knobs not used by the named campaign are ignored; params defaults to the
-    standard small parameter set over the rationals.
+    The campaign function receives params (params.field for ballot and
+    series), seed and budgets where its signature takes them, and knobs as
+    keyword arguments, so every default lives in the function's signature.
+    A knob the function does not take, or one naming seed or budgets,
+    raises ValueError before the run.
+    params defaults to the standard small parameter set over the rationals.
     """
-    knobs = knobs or {}
+    func = _RUNNERS.get(name)
+    if func is None:
+        raise ValueError(f"unknown campaign {name!r} (expected one of "
+                         f"{', '.join(CAMPAIGNS)})")
     params = params or ConstructionParams()
-
-    def k(name_, default):
-        return knobs.get(name_, default)
-
-    if name == "ballot":
-        return verify_ballot(params.field, m_max=k("m_max", 8),
-                             include_timing=include_timing)
-    if name == "z_closure":
-        return verify_z_closure(params, samples=k("samples", 25), seed=seed,
-                                degree_cap=k("degree_cap", 6), budgets=budgets,
-                                include_timing=include_timing)
-    if name == "inclusions":
-        return verify_inclusions(params, degree_cap=k("degree_cap", 2),
-                                 budgets=budgets,
-                                 include_timing=include_timing)
-    if name == "products":
-        return verify_products(params, trials=k("trials", 20), seed=seed,
-                               budgets=budgets,
-                               include_timing=include_timing)
-    if name == "escape":
-        return locate_escape(params, h=k("h", 1), budgets=budgets,
-                             include_timing=include_timing)
-    if name == "counterexample":
-        return verify_counterexample(params, h_max=k("h_max", 2),
-                                     products=k("products", 20), seed=seed,
-                                     budgets=budgets,
-                                     include_timing=include_timing)
-    if name == "phi":
-        return verify_phi(params, kill_samples=k("kill_samples", 100),
-                          fix_samples=k("fix_samples", 20),
-                          preserve_trials=k("preserve_trials", 20), seed=seed,
-                          include_timing=include_timing)
-    if name == "series":
-        return verify_series(params.field, dimension=k("dimension", 3),
-                             trials=k("trials", 25), seed=seed,
-                             include_timing=include_timing)
-    raise ValueError(f"unknown campaign {name!r} (expected one of "
-                     f"{', '.join(CAMPAIGNS)})")
+    first, *accepted = inspect.signature(func).parameters
+    kwargs = {key: value for key, value in
+              (("seed", seed), ("budgets", budgets)) if key in accepted}
+    for key, value in (knobs or {}).items():
+        if key not in accepted or key in kwargs:
+            raise ValueError(f"campaign {name!r} takes no knob {key!r}")
+        kwargs[key] = value
+    start = time.perf_counter()
+    report = func(params.field if first == "field" else params, **kwargs)
+    if include_timing:
+        report.elapsed_s = round(time.perf_counter() - start, 3)
+    return report

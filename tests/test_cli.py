@@ -241,6 +241,13 @@ def test_series_subcommand(capsys):
     assert doc["campaign"] == "series" and doc["verdict"] == "pass"
 
 
+def test_series_is_the_series_campaign(capsys):
+    code, via_series, _ = run(capsys, ["series", "--seed", "9"])
+    assert code == 0
+    _, via_verify, _ = run(capsys, ["verify", "--campaign", "series", "--seed", "9"])
+    assert via_series == via_verify
+
+
 def test_series_over_gf(capsys, tmp_path):
     cfg = write(tmp_path, "gf.cfg", "field = gf\nprime = 5\n")
     code, out, _ = run(capsys, ["series", "--dim", "3", "--trials", "5",
@@ -271,4 +278,11 @@ def test_timing_flag_adds_elapsed(capsys):
     _, plain, _ = run(capsys, ["verify", "--campaign", "ballot"])
     _, timed, _ = run(capsys, ["verify", "--campaign", "ballot", "--timing"])
     assert "elapsed_s" not in json.loads(plain)
+    assert "elapsed_s" in json.loads(timed)
+
+
+def test_timing_flag_only_on_campaign_runners(capsys):
+    code, _, _ = run(capsys, ["expand", "--m", "2", "--timing"])
+    assert code == 2
+    _, timed, _ = run(capsys, ["series", "--trials", "2", "--timing"])
     assert "elapsed_s" in json.loads(timed)

@@ -1,4 +1,5 @@
 """Verification campaigns: reports, determinism, and the dispatch registry."""
+import hashlib
 import json
 
 import pytest
@@ -46,9 +47,8 @@ def test_report_verdict_and_counts():
 
 def test_report_json_deterministic_and_timing_flag():
     def build(timing):
-        rep = verify_series(Q, dimension=3, trials=5, seed=3,
-                            include_timing=timing)
-        return rep
+        return run_campaign("series", P10, seed=3, include_timing=timing,
+                            knobs={"dimension": 3, "trials": 5})
     a = build(False).to_json()
     b = build(False).to_json()
     assert a == b
@@ -175,17 +175,40 @@ def test_run_campaign_dispatch_all():
         "phi": {"kill_samples": 4, "fix_samples": 2, "preserve_trials": 2},
         "series": {"trials": 4},
     }
+    # sha256 of each report's to_json(), pinned so that dispatch stays
+    # byte-identical
+    digests = {
+        "ballot": "c7543cc8a16bdf8cda07a26bd355885958a47ecec371f71fb0cf81bc42dbee83",
+        "z_closure": "1ea011953d1940bef7a9c965b6b8e1a2d1b409c74bc75d0ea76588398765ef89",
+        "inclusions": "40f2b2b841667831e97972f16f78b7727d3f49a0bf85afed2c34d3890d6c5a15",
+        "products": "6ee261b8b9eafc7920f4da81e587ce7d0d51e00c1de3c781ccfb2eadac1201b0",
+        "escape": "e2a32bb630d1568e69996426d01e4410b08f683eb118c19bb8c0a048f72262e1",
+        "counterexample": "7dd5722a86ddde52ba4fd3c4ca2cfc50ccd37c4bf8b355c89ce0aef96a8ff5e2",
+        "phi": "df8e0d7a63ddbc0e1cb299b38f38129c43dc5deb00042eac2a068d9104a50f5e",
+        "series": "7fe2bf815ba39e8ef9a3452f4b84ccd4e638d576ad3dfe5af94df9e955310988",
+    }
     for name in CAMPAIGNS:
         params = P222 if name == "phi" else (
             ConstructionParams(4, 2, 1, Q) if name == "products" else P10)
         rep = run_campaign(name, params, seed=0, knobs=fast[name])
         assert rep.campaign == name
         assert rep.verdict == "pass", (name, rep.to_json())
+        assert hashlib.sha256(rep.to_json().encode()).hexdigest() == digests[name], name
 
 
 def test_run_campaign_unknown_name():
     with pytest.raises(ValueError, match="ballot"):
         run_campaign("nonsense", P10)
+
+
+def test_run_campaign_rejects_unknown_knob():
+    with pytest.raises(ValueError, match="'escape'.*'hmax'"):
+        run_campaign("escape", knobs={"hmax": 3})
+    # seed and budgets are run_campaign's own arguments, not knobs
+    with pytest.raises(ValueError, match="'seed'"):
+        run_campaign("series", P10, knobs={"seed": 1})
+    with pytest.raises(ValueError, match="'seed'"):
+        run_campaign("ballot", P10, knobs={"seed": 1})
 
 
 def test_budget_propagates():
