@@ -43,12 +43,20 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _canonical(r):
+    """A rational as an int when it is integral, else as a Fraction."""
+    return r if type(r) is int or r.denominator != 1 else r.numerator
+
+
 class RationalField:
     """The default coefficient field, backed by int/Fraction arithmetic.
 
     Integer values are kept as plain ints so that the hot paths (power
-    expansion, span assembly) stay in machine-assisted bignum arithmetic;
-    Fractions only appear once division has happened.
+    expansion, span assembly, elimination) stay in machine-assisted bignum
+    arithmetic; Fractions only appear once division has happened.  add,
+    sub, mul, inv and coerce return an integral result as an int, even from
+    Fraction inputs, so on such results a Fraction always has a denominator
+    above one.
     """
 
     name = "rationals"
@@ -65,17 +73,17 @@ class RationalField:
         if isinstance(value, int):
             return value
         if isinstance(value, Fraction):
-            return int(value) if value.denominator == 1 else value
+            return _canonical(value)
         raise FieldError(f"cannot coerce {value!r} into the rationals")
 
     def add(self, a, b):
-        return a + b
+        return _canonical(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _canonical(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return _canonical(a * b)
 
     def neg(self, a):
         return -a
@@ -83,8 +91,7 @@ class RationalField:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        r = 1 / Fraction(a)
-        return int(r) if r.denominator == 1 else r
+        return _canonical(1 / Fraction(a))
 
     def format(self, a) -> str:
         return str(a)

@@ -7,7 +7,11 @@ that word is the row's pivot.  No back-substitution is performed; reduction
 eliminates pivots in increasing word order with a heap, which is safe because
 eliminating a pivot only introduces words larger than it.  A pivot whose row
 is the bare monomial is eliminated outright, without entering the heap: in
-the block-aligned span families almost every pivot row is one.
+the block-aligned span families almost every pivot row is one.  Inserting a
+single-term vector skips reduction altogether unless its word is the pivot of
+a longer row: a monomial row already spans it, and a free word becomes a
+monomial pivot itself.  A residue whose pivot coefficient is already one
+is stored as it is, without the normalising multiply.
 
 Combination tracking is lazy: each pivot row remembers only which earlier
 pivots its reduction used, and combinations over the original insertion
@@ -99,7 +103,8 @@ class Echelon:
             else:
                 rest[w] = v
         vec = rest
-        heap = [(word_key(w), w) for w in vec]
+        # heap entries are word_key(w) written out, saving a call per push
+        heap = [(len(w), w) for w in vec]
         heapq.heapify(heap)
         while heap:
             _, w = heapq.heappop(heap)
@@ -130,7 +135,7 @@ class Echelon:
                             del used[m]
                         continue
                     vec[m] = fneg(cv)
-                    heapq.heappush(heap, (word_key(m), m))
+                    heapq.heappush(heap, (len(m), m))
                 else:
                     nv = fsub(cur, cv)
                     if nv:
@@ -150,20 +155,38 @@ class Echelon:
         """
         idx = self.inserted if index is None else index
         self.inserted = max(self.inserted, idx + 1)
+        field = self.field
+        if len(vec) == 1:
+            # a single term needs no reduction unless its word is the pivot
+            # of a longer row: a monomial row already spans it, and a free
+            # word becomes a monomial pivot itself
+            (w, c), = vec.items()
+            row = self.rows.get(w)
+            if row is not None and len(row) == 1:
+                return None
+            if row is None and c:
+                self._check_room()
+                self.rows[w] = {w: field.one}
+                self.history[w] = (idx, field.inv(c), {})
+                return w
         residue, used = self.reduce(vec)
         if not residue:
             return None
+        self._check_room()
+        pivot = min(residue, key=word_key)
+        inv = field.inv(residue[pivot])
+        if inv != field.one:
+            fmul = field.mul
+            residue = {w: fmul(inv, v) for w, v in residue.items()}
+        self.rows[pivot] = residue
+        self.history[pivot] = (idx, inv, used)
+        return pivot
+
+    def _check_room(self):
         if self.max_rows is not None and len(self.rows) >= self.max_rows:
             raise BudgetExceeded(
                 f"echelon exceeds {self.max_rows} rows", max_basis_size=self.max_rows
             )
-        field = self.field
-        pivot = min(residue, key=word_key)
-        inv = field.inv(residue[pivot])
-        fmul = field.mul
-        self.rows[pivot] = {w: fmul(inv, v) for w, v in residue.items()}
-        self.history[pivot] = (idx, inv, used)
-        return pivot
 
     def _flat(self, pivot: tuple) -> dict[int, object]:
         """Combination of original vectors equal to the stored pivot row,

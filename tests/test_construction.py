@@ -340,6 +340,44 @@ def test_words_space_contains_block_products():
     assert oracle.verify(candidate, q, cert)
 
 
+# Echelon states pinned by rank and by sha256 of the sorted rows and history,
+# scalars through field.format, plus the running insertion counter.  Stored
+# rows and history are what certificates are built from, so a faster kernel
+# must leave every one of them in place.
+F7 = PrimeField(7)
+PINNED_ECHELONS = [
+    ((10, 3, 1, Q), SpanQuery("words", 20, 3, level=1), 568,
+     "939c66b78ee29d8e871882bcb2fa60a487c68ac2ba8a086398deb26dbcc0d909"),
+    ((10, 3, 1, F7), SpanQuery("words", 20, 3, level=1), 568,
+     "e15eb59461ef66d076fcfb333002a44cacff1b648e1442ee2b086067b2d53385"),
+    ((10, 3, 1, Q), SpanQuery("collisions", 20, 4, level=1), 8682,
+     "c6ad7b53aee3733d7f7bab6ebbf885fc9d998e27a3457ac7acef688b927c4122"),
+    ((10, 3, 1, Q), SpanQuery("ideal_level", 24, 3, level=1), 95,
+     "5c80f8247a95851ab86b1325a5c7adaa7fead4d2ae5847e6d28827d737f6470f"),
+    ((3, 2, 2, F7), SpanQuery("collisions", 20, 3, level=1), 1540,
+     "3d54d5c064f655705fe5369a94856bc9c62db556968f7cef3c8a1c462d884759"),
+    ((3, 2, 2, F7), SpanQuery("collisions", 80, 2, level=2), 3240,
+     "485cd6b0c14ee4eb1e763e914c9787a624cffac778c3d883d98839ec3efc2e4c"),
+]
+
+
+def echelon_state_digest(ech):
+    fmt = ech.field.format
+    rows = sorted((p, sorted((w, fmt(c)) for w, c in row.items()))
+                  for p, row in ech.rows.items())
+    history = sorted((p, idx, fmt(inv), sorted((q, fmt(c)) for q, c in used.items()))
+                     for p, (idx, inv, used) in ech.history.items())
+    state = (rows, history, ech.inserted)
+    return hashlib.sha256(repr(state).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("params, query, rank, digest", PINNED_ECHELONS)
+def test_echelon_state_pinned(params, query, rank, digest):
+    ech = SpanOracle(ConstructionParams(*params)).echelon(query)
+    assert len(ech) == rank
+    assert echelon_state_digest(ech) == digest
+
+
 # -- signed reorder -----------------------------------------------------------------
 
 

@@ -120,3 +120,22 @@ def test_prime_field_axioms(a, b, c):
     if a % 7:
         assert f.mul(a, f.inv(a)) == f.one
     assert 0 <= f.mul(a, b) < 7
+
+
+rationals = st.one_of(
+    st.integers(-10**20, 10**20),
+    st.fractions(max_denominator=50),
+    # integral values held as Fractions, as non-canonical inputs
+    st.integers(-50, 50).map(Fraction),
+)
+
+
+@given(rationals, rationals)
+def test_rational_results_are_canonical(a, b):
+    for op, expect in ((Q.add, Fraction(a) + Fraction(b)),
+                       (Q.sub, Fraction(a) - Fraction(b)),
+                       (Q.mul, Fraction(a) * Fraction(b))):
+        r = op(a, b)
+        assert r == expect
+        assert type(r) is (int if expect.denominator == 1 else Fraction)
+        assert Q.format(r) == str(expect)

@@ -1,5 +1,6 @@
 """Exact echelon spans, membership certificates, and their re-verification."""
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -91,6 +92,45 @@ def test_monomial_pivot_dropped_then_brought_back():
     residue, used = ech.reduce(v[0])
     assert residue == {} and used == {(0,): 1}
     assert ech.member_combination(v[0]) == [(0, 1)]
+
+
+# -- single-term rows ---------------------------------------------------------------
+
+
+def test_monomial_stores_unit_row():
+    ech = Echelon(Q)
+    w = (0, 1)
+    assert ech.insert(vec((w, 3))) == w
+    assert ech.rows[w] == {w: 1} and type(ech.rows[w][w]) is int
+    assert ech.history[w] == (0, Fraction(1, 3), {})
+    assert ech.member_combination(vec((w, 6))) == [(0, 2)]
+
+
+def test_repeated_monomial_is_dependent():
+    ech = Echelon(Q)
+    assert ech.insert(vec(((2,), 5))) == (2,)
+    assert ech.insert(vec(((2,), -1))) is None
+    assert len(ech) == 1 and ech.inserted == 2
+    assert ech.history[(2,)] == (0, Fraction(1, 5), {})
+
+
+def test_monomial_on_multi_term_pivot_is_reduced():
+    ech = Echelon(Q)
+    ech.insert(vec(((0,), 1), ((1,), 2), ((2,), 4)))
+    # the monomial x0 is reduced against the row of pivot (0,); what is left
+    # is the rest of that row, normalised at its own smallest word
+    assert ech.reduce(vec(((0,), 1)))[0] == vec(((1,), -2), ((2,), -4))
+    assert ech.insert(vec(((0,), 1))) == (1,)
+    assert ech.rows[(1,)] == vec(((1,), 1), ((2,), 2))
+    assert ech.history[(1,)] == (1, Fraction(-1, 2), {(0,): 1})
+
+
+def test_zero_monomial_is_dependent():
+    ech = Echelon(Q)
+    assert ech.insert(vec(((0,), 0))) is None
+    assert len(ech) == 0 and ech.inserted == 1
+    ech = Echelon(PrimeField(7))
+    assert ech.insert(vec(((0,), 0))) is None and len(ech) == 0
 
 
 def test_pivot_is_minimal_word_key():
