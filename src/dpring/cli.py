@@ -273,10 +273,9 @@ def cmd_params(args, cfg: RunConfig) -> int:
     params = cfg.params
     doc = {"schema": "dpring.params/1"}
     doc.update(_params_doc(params))
-    bad = params.invalid_levels()
-    if args.validate and bad:
+    if args.validate:
         try:
-            params.require_level(bad[0])
+            params.validate()
         except ParamsError as exc:
             doc["status"] = "invalid"
             doc["error"] = str(exc)

@@ -3,10 +3,12 @@
 The family lives at levels k = 1, 2, ...: level k works with words of block
 length N(k) = b^(k*k) over the alphabet x0..x_{k-1} and marks the checkpoint
 positions c_0 = 0, c_{p+1} = r^p * b^((k-1)^2) (p = 0..k), c_{k+2} = N(k)
-inside a word of length N(k) - 1.  Collision elements are the monomials with
-equal letters at two checkpoint positions ("repeat") and the two-monomial
-sums whose members swap a pair of distinct letters across two checkpoint
-positions and agree elsewhere ("swap").
+inside a word of length N(k) - 1.  The slots of level k are the 0-based word
+indices c_1 - 1, ..., c_{k+1} - 1 of the inner checkpoints; `slots` is the
+one place that turns checkpoint values into indices.  Collision elements are
+the monomials with equal letters at two slots ("repeat") and the
+two-monomial sums whose members swap a pair of distinct letters across two
+slots and agree elsewhere ("swap").
 
 Spans queried here, always inside one bi-graded component (length, degree):
 
@@ -27,8 +29,10 @@ degree, then u, core and v, words in `words_iter` order and collision cores
 in `collision_elements` order.
 
 A level is degenerate when its checkpoints are not strictly increasing
-(r^k >= b^(2k-1)); its collision family is then empty because the outermost
-checkpoint position falls outside the word.  Constructors accept such
+(r^k >= b^(2k-1)).  Its checkpoints then mark no well-defined positions: two
+of them coincide, or c_{k+1} >= N(k) falls outside the word.  A degenerate
+level has no slots, so its collision family is empty even where some
+checkpoint pairs happen to fit inside the word.  Constructors accept such
 parameter sets so that the healthy levels remain usable; eager validation is
 available separately.
 """
@@ -109,6 +113,13 @@ class ConstructionParams:
         """Strict monotonicity of the checkpoints at level k."""
         c = self.checkpoints(k)
         return all(c[i] < c[i + 1] for i in range(len(c) - 1))
+
+    def slots(self, k: int) -> tuple[int, ...]:
+        """0-based indices of c_1 .. c_{k+1} in a level-k block word of length
+        N(k) - 1; empty on a degenerate level."""
+        if not self.level_valid(k):
+            return ()
+        return tuple(c - 1 for c in self.checkpoints(k)[1 : k + 2])
 
     def invalid_levels(self) -> list[int]:
         return [k for k in range(1, self.k_max + 1) if not self.level_valid(k)]
@@ -194,17 +205,15 @@ def count_words(length: int, degree: int) -> int:
 class CollisionElement:
     """A spanning element of the level-k collision family.
 
-    kind "repeat": one word with equal letters at checkpoint positions
-    c_{p+1}, c_{q+1}.  kind "swap": two words that swap distinct letters
-    (larger, smaller) across those positions and agree elsewhere.
+    kind "repeat": one word with equal letters at two of the level's slots.
+    kind "swap": two words, in ascending order, that swap distinct letters
+    across two slots and agree elsewhere.  A degenerate level has no slots
+    and so no elements.
     """
 
     level: int
     kind: str
     words: tuple[tuple, ...]
-    pair: tuple[int, int]          # (p, q), 0 <= p < q <= level
-    positions: tuple[int, int]     # the 1-based positions c_{p+1}, c_{q+1}
-    letters: tuple[int, ...]       # (letter,) for repeat, (larger, smaller) for swap
 
     def poly(self, field) -> FreePoly:
         return FreePoly(field, {w: field.one for w in self.words})
@@ -213,18 +222,10 @@ class CollisionElement:
         return word_stats(self.words[0])
 
 
-def _usable_pairs(params: ConstructionParams, k: int) -> list[tuple[int, int, int, int]]:
-    """(p, q, pos_p, pos_q) for checkpoint pairs that land inside words of
-    length N(k)-1; empty for degenerate levels."""
-    cps = params.checkpoints(k)
-    length = params.block(k) - 1
-    inner = cps[1 : k + 2]
-    out = []
-    for p in range(k + 1):
-        for q in range(p + 1, k + 1):
-            if inner[p] < inner[q] <= length:
-                out.append((p, q, inner[p], inner[q]))
-    return out
+def _repeats(word: tuple, slots: tuple[int, ...]) -> bool:
+    """Whether two of the slot letters of the word are equal."""
+    letters = {word[i] for i in slots}
+    return len(letters) < len(slots)
 
 
 def collision_test(params: ConstructionParams, k: int, candidate):
@@ -233,9 +234,8 @@ def collision_test(params: ConstructionParams, k: int, candidate):
     Returns the witnessing CollisionElement or None.  The candidate length
     must be N(k)-1; anything else is an error, not a negative answer.
     """
-    params._check_level(k)
+    slots = params.slots(k)
     length = params.block(k) - 1
-    pairs = _usable_pairs(params, k)
     if isinstance(candidate, tuple) and candidate and isinstance(candidate[0], tuple):
         if len(candidate) != 2:
             raise ValueError("swap candidates are pairs of words")
@@ -245,43 +245,28 @@ def collision_test(params: ConstructionParams, k: int, candidate):
                 f"wrong length: expected {length}, got {len(s1)} and {len(s2)}"
             )
         diff = [i for i in range(length) if s1[i] != s2[i]]
-        if len(diff) != 2:
+        if len(diff) != 2 or not set(diff) <= set(slots):
             return None
         i, j = diff
-        for p, q, pos_p, pos_q in pairs:
-            if (pos_p - 1, pos_q - 1) == (i, j):
-                if s1[i] == s2[j] and s1[j] == s2[i] and s1[i] != s1[j]:
-                    hi, lo = max(s1[i], s1[j]), min(s1[i], s1[j])
-                    ws = tuple(sorted((s1, s2)))
-                    return CollisionElement(k, "swap", ws, (p, q),
-                                            (pos_p, pos_q), (hi, lo))
-                return None
-        return None
+        if s1[i] != s2[j] or s1[j] != s2[i]:
+            return None
+        return CollisionElement(k, "swap", tuple(sorted((s1, s2))))
     word = candidate
     if len(word) != length:
         raise ValueError(f"wrong length: expected {length}, got {len(word)}")
-    for p, q, pos_p, pos_q in pairs:
-        if word[pos_p - 1] == word[pos_q - 1]:
-            return CollisionElement(k, "repeat", (word,), (p, q),
-                                    (pos_p, pos_q), (word[pos_p - 1],))
+    if _repeats(word, slots):
+        return CollisionElement(k, "repeat", (word,))
     return None
-
-
-def _splice(rest: tuple, length: int, placed: dict[int, int]) -> tuple:
-    """Insert letters at fixed 1-based positions, filling the rest in order."""
-    it = iter(rest)
-    return tuple(placed[i] if i in placed else next(it) for i in range(1, length + 1))
 
 
 def collision_elements(params: ConstructionParams, k: int, degree: int,
                        budgets: Budgets = DEFAULT_BUDGETS):
     """All level-k collision elements of the component (N(k)-1, degree), in a
-    fixed order: repeat kind in word order, then swap kind by checkpoint pair
-    and letter pair."""
-    params._check_level(k)
+    fixed order: repeat kind in word order, then swap kind by slot pair and
+    letter pair (larger, smaller)."""
+    slots = params.slots(k)
     length = params.block(k) - 1
-    pairs = _usable_pairs(params, k)
-    if not pairs or degree < 0:
+    if not slots or degree < 0:
         return
     dim = count_words(length, degree)
     if dim > budgets.max_component_dim:
@@ -291,20 +276,17 @@ def collision_elements(params: ConstructionParams, k: int, degree: int,
             component_dimension=dim,
         )
     for w in words_iter(length, degree):
-        for p, q, pos_p, pos_q in pairs:
-            if w[pos_p - 1] == w[pos_q - 1]:
-                yield CollisionElement(k, "repeat", (w,), (p, q),
-                                       (pos_p, pos_q), (w[pos_p - 1],))
-                break
-    for p, q, pos_p, pos_q in pairs:
+        if _repeats(w, slots):
+            yield CollisionElement(k, "repeat", (w,))
+    for a, b in itertools.combinations(slots, 2):
         for hi in range(1, degree + 1):
             for lo in range(0, min(hi - 1, degree - hi) + 1):
                 for rest in words_iter(length - 2, degree - hi - lo):
-                    s1 = _splice(rest, length, {pos_p: hi, pos_q: lo})
-                    s2 = _splice(rest, length, {pos_p: lo, pos_q: hi})
-                    ws = tuple(sorted((s1, s2)))
-                    yield CollisionElement(k, "swap", ws, (p, q),
-                                           (pos_p, pos_q), (hi, lo))
+                    # the words differ first at slot a, lo < hi: ascending
+                    left, mid, right = rest[:a], rest[a : b - 1], rest[b - 1 :]
+                    yield CollisionElement(k, "swap", (
+                        left + (lo,) + mid + (hi,) + right,
+                        left + (hi,) + mid + (lo,) + right))
 
 
 # -- span queries and row enumeration ----------------------------------------
@@ -544,26 +526,25 @@ def _parity(seq: list[int]) -> int:
 def signed_reorder_word(params: ConstructionParams, k: int, word: tuple):
     """The signed checkpoint-reorder image of one word of length N(k)-1.
 
-    Reads the letters at the inner checkpoint positions c_1..c_{k+1}; when
-    they form a permutation of the target letters x_{c_0}..x_{c_k}, the image
-    is the word with those letters rewritten in target order, signed by the
-    permutation's parity; otherwise the image is zero (returns None).
+    Reads the letters at the slots (positions c_1..c_{k+1}); when they form a
+    permutation of the target letters x_{c_0}..x_{c_k}, the image is the word
+    with those letters rewritten in target order, signed by the permutation's
+    parity; otherwise the image is zero (returns None).
     """
     params.require_level(k)
     length = params.block(k) - 1
     if len(word) != length:
         raise ValueError(f"wrong length: expected {length}, got {len(word)}")
-    cps = params.checkpoints(k)
-    positions = cps[1 : k + 2]
-    targets = tuple(cps[0 : k + 1])
-    letters = tuple(word[p - 1] for p in positions)
-    if sorted(letters) != sorted(targets):
+    slots = params.slots(k)
+    targets = params.checkpoints(k)[: k + 1]
+    letters = [word[i] for i in slots]
+    if sorted(letters) != targets:
         return None
     where = {t: i for i, t in enumerate(targets)}
     sign = _parity([where[l] for l in letters])
     out = list(word)
-    for pos, t in zip(positions, targets):
-        out[pos - 1] = t
+    for i, t in zip(slots, targets):
+        out[i] = t
     return sign, tuple(out)
 
 

@@ -184,15 +184,6 @@ class FreePoly:
 
     __hash__ = None  # mutable container
 
-    # -- text form ---------------------------------------------------------
-
-    def to_text(self) -> str:
-        return poly_to_text(self)
-
-    @classmethod
-    def from_text(cls, field, text: str) -> "FreePoly":
-        return poly_from_text(field, text)
-
     def __repr__(self):
         return f"FreePoly({poly_to_text(self)!r})"
 

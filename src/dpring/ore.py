@@ -109,13 +109,6 @@ class OrePoly:
 
     __hash__ = None
 
-    def to_text(self) -> str:
-        return ore_to_text(self)
-
-    @classmethod
-    def from_text(cls, field, text: str) -> "OrePoly":
-        return ore_from_text(field, text)
-
     def __repr__(self):
         return f"OrePoly({ore_to_text(self)!r})"
 

@@ -124,7 +124,6 @@ def test_collision_test_repeat():
     w = (0, 1, 0, 0, 0, 0, 0, 0, 0)
     el = collision_test(P10, 1, w)
     assert el is not None and el.kind == "repeat"
-    assert el.positions == (1, 3) and el.letters == (0,)
     assert el.words == (w,)
     assert el.component() == (9, 1)
     assert el.poly(Q) == FreePoly.monomial(Q, w)
@@ -139,7 +138,6 @@ def test_collision_test_swap():
     s2 = (1, 0, 0, 0, 0, 0, 0, 0, 0)
     el = collision_test(P10, 1, (s1, s2))
     assert el is not None and el.kind == "swap"
-    assert el.letters == (1, 0)  # (larger, smaller)
     assert el.words == (s1, s2)
     assert el.poly(Q) == FreePoly.monomial(Q, s1) + FreePoly.monomial(Q, s2)
     # same difference at non-checkpoint positions: not a collision
@@ -160,7 +158,7 @@ def test_collision_elements_degree_zero_and_one():
     els1 = list(collision_elements(P10, 1, 1))
     # seven repeats (the raised letter away from both checkpoints), one swap
     assert [e.kind for e in els1] == ["repeat"] * 7 + ["swap"]
-    assert els1[-1].letters == (1, 0)
+    assert els1[-1].words == ((0, 0, 1) + (0,) * 6, (1,) + (0,) * 8)
     assert all(e.component() == (9, 1) for e in els1)
 
 
@@ -173,8 +171,14 @@ def test_collision_elements_match_collision_test():
 
 
 def test_collision_elements_degenerate_level_is_empty():
-    assert list(collision_elements(P222, 1, 2)) == []
-    assert collision_test(P222, 1, (0,)) is None
+    # level 2 of (2,3,2) is degenerate although c_1 < c_2 < N(2) - 1
+    for params, k, degree in [(P222, 1, 2), (ConstructionParams(2, 3, 2, Q), 2, 1)]:
+        assert not params.level_valid(k)
+        assert list(collision_elements(params, k, degree)) == []
+        length = params.block(k) - 1
+        assert collision_test(params, k, (0,) * length) is None
+        query = SpanQuery("collisions", length, degree, level=k)
+        assert list(span_rows(params, query)) == []
 
 
 def test_collision_elements_level_two():
@@ -239,6 +243,9 @@ PINNED_STREAMS = [
      "64fefb37d2325c0aeae4bd69db49534a4b57822468372af6bf3ba27999a83c76"),
     ((4, 2, 1, PrimeField(7)), SpanQuery("collisions", 15, 2, level=1), 424,
      "06d77a5f5239e8016d127e1ace4785eb3538d8aa2daca6c69060d036b50dbec7"),
+    # level-2 swaps over all three slot pairs, with nonzero rest letters
+    ((3, 2, 2, Q), SpanQuery("collisions", 80, 2, level=2), 3477,
+     "5f51a9e9b86d2cb7279822d7930176636960c777742e9959806bdde9e5f6794c"),
 ]
 
 

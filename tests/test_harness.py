@@ -157,6 +157,37 @@ def test_verify_phi_constructive_preservation():
     assert moved
 
 
+# sha256 of each report's to_json(), pinned so that the collision sampler,
+# the reorder and the preservation window check stay byte-identical
+PHI_322_DIGESTS = {
+    0: "9ec26ce263323c8ebf8dd97174998a2a462ee21cee6d6dc3216165b9cdd49103",
+    1: "25c1ffca3e63375c3691f2dc4e045a717941340ae2e9a8601970f0f0bdfeeda3",
+    2: "1b8b300f88d67bfa67e2fd7cafccd617e30354bc16d3c9e9958034a00a050e35",
+}
+Z_CLOSURE_222_DIGESTS = {
+    0: "4f90f81f7fc25a399c3abcb0d091ad04de5b24024ce243f2bc99ba6d0c57d7e9",
+    1: "8447b48d4139c3399e00bf20977fed1f6705036d2b7da5777754209b6d1ec684",
+    2: "bf4248a4dc539c2f01a5cc4192268ceff6c69d599debb864dc84ea5e98940e15",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PHI_322_DIGESTS))
+def test_verify_phi_pinned(seed):
+    rep = verify_phi(ConstructionParams(3, 2, 2, Q), kill_samples=20,
+                     fix_samples=5, preserve_trials=10, seed=seed)
+    assert rep.verdict == "pass"
+    digest = hashlib.sha256(rep.to_json().encode()).hexdigest()
+    assert digest == PHI_322_DIGESTS[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(Z_CLOSURE_222_DIGESTS))
+def test_verify_z_closure_pinned(seed):
+    rep = verify_z_closure(P222, samples=4, seed=seed, degree_cap=4)
+    assert rep.verdict == "pass"
+    digest = hashlib.sha256(rep.to_json().encode()).hexdigest()
+    assert digest == Z_CLOSURE_222_DIGESTS[seed]
+
+
 def test_verify_series_gf():
     assert verify_series(PrimeField(3), dimension=4, trials=8, seed=0).verdict == "pass"
 
