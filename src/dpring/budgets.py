@@ -15,13 +15,14 @@ class BudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class Budgets:
-    """Hard caps applied before any large enumeration starts.
+    """Hard caps that stop a large enumeration before it thrashes.
 
     max_expand_m: largest exponent accepted by the full power expansion.
     max_component_dim: largest bi-graded component dimension a span query
         may touch.
     max_basis_size: largest spanning-set size a span query may enumerate
-        (estimated combinatorially before rows are built).
+        (rows are counted as they are enumerated; the row past the cap
+        raises, so it also bounds the rank of any echelon built from them).
     """
 
     max_expand_m: int = 16

@@ -188,7 +188,7 @@ def _params_doc(params: ConstructionParams) -> dict:
         "b": params.base,
         "r": params.ratio,
         "k_max": params.k_max,
-        "field": harness._field_label(params.field),
+        "field": harness.field_label(params.field),
         "levels": levels,
     }
 
@@ -207,7 +207,7 @@ def cmd_expand(args, cfg: RunConfig) -> int:
         "schema": "dpring.expand/1",
         "m": args.m,
         "window_floor": args.window,
-        "field": harness._field_label(field),
+        "field": harness.field_label(field),
         "ore_text": ore_to_text(ore),
         "coefficients": {
             str(t): poly_to_text(p) for t, p in sorted(ore.coeffs.items())

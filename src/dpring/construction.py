@@ -47,12 +47,7 @@ from math import comb
 from .budgets import BudgetExceeded, Budgets, DEFAULT_BUDGETS
 from .fields import RationalField
 from .freealg import FreePoly, derive_iter, word_stats
-from .membership import (
-    Echelon,
-    MembershipCertificate,
-    verify_functional,
-    verify_member_combination,
-)
+from .membership import Echelon, MembershipCertificate
 
 __all__ = [
     "ParamsError",
@@ -431,20 +426,8 @@ class SpanOracle:
     def echelon(self, query: SpanQuery) -> Echelon:
         ech = self._echelons.get(query)
         if ech is None:
-            ech = Echelon(self.params.field, max_rows=self.budgets.max_basis_size)
-            # one enumeration with canonical indices: single-term rows claim
-            # their pivots for free as they come, and the longer rows, held
-            # back until the end, reduce mostly against trivial rows, so
-            # elimination stays cheap
-            multi = []
-            for i, row in enumerate(span_rows(self.params, query,
-                                              self.budgets, self._cores)):
-                if len(row) == 1:
-                    ech.insert(row, index=i)
-                else:
-                    multi.append((i, row))
-            for i, row in multi:
-                ech.insert(row, index=i)
+            ech = Echelon(self.params.field)
+            ech.extend(span_rows(self.params, query, self.budgets, self._cores))
             self._echelons[query] = ech
         return ech
 
@@ -463,13 +446,7 @@ class SpanOracle:
     def member(self, a: FreePoly, query: SpanQuery) -> MembershipCertificate:
         if self._check_query_input(a, query):
             return MembershipCertificate("member", combination=[])
-        ech = self.echelon(query)
-        reduced = ech.reduce(a.terms)
-        combo = ech.member_combination(a.terms, reduced)
-        if combo is not None:
-            return MembershipCertificate("member", combination=combo)
-        return MembershipCertificate("non_member",
-                                     functional=ech.functional(a.terms, reduced))
+        return self.echelon(query).certificate(a.terms)
 
     def normal_form(self, a: FreePoly, query: SpanQuery) -> FreePoly:
         if self._check_query_input(a, query):
@@ -480,26 +457,8 @@ class SpanOracle:
     def verify(self, a: FreePoly, query: SpanQuery,
                cert: MembershipCertificate) -> bool:
         """Re-check a certificate against the regenerated spanning family."""
-        field = self.params.field
-        if cert.kind == "member":
-            needed = {idx for idx, _ in cert.combination}
-            rows: dict[int, dict] = {}
-            if needed:
-                for i, row in enumerate(span_rows(self.params, query,
-                                                  self.budgets, self._cores)):
-                    if i in needed:
-                        rows[i] = row
-                        if len(rows) == len(needed):
-                            break
-                if len(rows) != len(needed):
-                    return False
-            return verify_member_combination(field, a.terms, cert.combination,
-                                             rows.__getitem__)
-        if cert.kind == "non_member":
-            return verify_functional(
-                field, a.terms, cert.functional,
-                span_rows(self.params, query, self.budgets, self._cores))
-        raise ValueError(f"unknown certificate kind {cert.kind!r}")
+        return cert.verify(self.params.field, a.terms,
+                           span_rows(self.params, query, self.budgets, self._cores))
 
     def component_stats(self, query: SpanQuery) -> dict:
         ech = self.echelon(query)

@@ -93,10 +93,8 @@ class FreePoly:
         return not self.terms
 
     def __len__(self) -> int:
+        """Number of terms; it also makes the zero polynomial falsy."""
         return len(self.terms)
-
-    def coeff(self, word: tuple):
-        return self.terms.get(tuple(word), self.field.zero)
 
     def bigrade(self):
         """(length, degree) when homogeneous in both gradings, else None.
@@ -107,14 +105,6 @@ class FreePoly:
         if len(grades) == 1:
             return grades.pop()
         return None
-
-    def component(self, length: int, degree: int) -> "FreePoly":
-        """Projection onto the bi-graded component (length, degree)."""
-        want = (length, degree)
-        return FreePoly(
-            self.field,
-            {w: c for w, c in self.terms.items() if word_stats(w) == want},
-        )
 
     def components(self) -> dict[tuple[int, int], "FreePoly"]:
         out: dict[tuple[int, int], FreePoly] = {}

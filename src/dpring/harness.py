@@ -56,6 +56,7 @@ __all__ = [
     "INLINE_CERT_LIMIT",
     "CheckRecord",
     "CampaignReport",
+    "field_label",
     "summarize_certificate",
     "verify_ballot",
     "verify_z_closure",
@@ -73,7 +74,8 @@ __all__ = [
 # -- reports -------------------------------------------------------------------
 
 
-def _field_label(field) -> str:
+def field_label(field) -> str:
+    """Report label of a field: its name, or gf(p) for a prime field."""
     if field.characteristic:
         return f"gf({field.characteristic})"
     return field.name
@@ -161,7 +163,7 @@ def _params_dict(params: ConstructionParams) -> dict:
         "base": params.base,
         "ratio": params.ratio,
         "k_max": params.k_max,
-        "field": _field_label(params.field),
+        "field": field_label(params.field),
     }
 
 
@@ -179,7 +181,7 @@ def verify_ballot(field=None, m_max: int = 8) -> CampaignReport:
     reported informationally.
     """
     field = field or RationalField()
-    rep = CampaignReport("ballot", {"field": _field_label(field), "m_max": m_max})
+    rep = CampaignReport("ballot", {"field": field_label(field), "m_max": m_max})
     for m in range(0, m_max + 1):
         full = expand_power(field, m, max_expand_m=max(m_max, 16))
         window = expand_power_window(field, m, 0)
@@ -328,7 +330,8 @@ def verify_inclusions(params: ConstructionParams, k: int = 1, lengths=None,
 
     Every spanning row of the level-k ideal family at the listed lengths is
     given a membership certificate in both larger spans; the certificates
-    for the first row of each component are re-verified from scratch.
+    for the first row of each component are re-verified against the
+    regenerated spanning families.
     """
     field = params.field
     N = params.block(k)
@@ -421,7 +424,6 @@ def verify_products(params: ConstructionParams, k: int = 1, trials: int = 20,
     for t in range(trials):
         h = h_values[t % len(h_values)]
         factors = []
-        certs = []
         give_up = False
         for _ in range(h + 1):
             for _ in range(12):
@@ -431,7 +433,6 @@ def verify_products(params: ConstructionParams, k: int = 1, trials: int = 20,
                 cert = oracle.member(r, q)
                 if cert.kind == "non_member":
                     factors.append((r, d, q, cert))
-                    certs.append(cert)
                     break
                 skips += 1
             else:
@@ -475,8 +476,7 @@ def _descend(params: ConstructionParams, k: int, h: int, oracle: SpanOracle,
     floor have far too many terms to materialize at realistic block sizes,
     while the escape sits within a few indices of the top, so each step
     recomputes only the narrow window it needs.  The width budget turns
-    runaway descents into a
-    clean refusal instead of memory exhaustion.
+    runaway descents into a clean refusal instead of memory exhaustion.
     """
     field = params.field
     N = params.block(k)
@@ -645,7 +645,7 @@ def verify_phi(params: ConstructionParams, kill_samples: int = 100,
     # kill: the reorder annihilates every top-level collision element
     bad = 0
     batch = []
-    for s in range(kill_samples):
+    for _ in range(kill_samples):
         elem = _sample_collision(params, k, rng)
         z = elem.poly(field)
         if not signed_reorder(params, k, z).is_zero():
@@ -779,7 +779,7 @@ def verify_series(field=None, dimension: int = 3, trials: int = 25,
     exact.
     """
     field = field or RationalField()
-    rep = CampaignReport("series", {"field": _field_label(field),
+    rep = CampaignReport("series", {"field": field_label(field),
                                     "dimension": dimension,
                                     "trials": trials}, seed=seed)
     rng = random.Random(seed)
@@ -797,7 +797,7 @@ def verify_series(field=None, dimension: int = 3, trials: int = 25,
         ok = True
         try:
             for p in (s + 1, s + 2):
-                inv = invert_one_minus(c, p, D)
+                invert_one_minus(c, p, D)
                 if not all(coefficient_identity(c, p, e, D)
                            for e in range(1, q + 1)):
                     ok = False

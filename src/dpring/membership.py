@@ -18,12 +18,14 @@ pivots its reduction used, and combinations over the original insertion
 indices are expanded (and memoized) when a certificate is actually requested.
 Bulk insertion therefore costs no more than the elimination itself.
 
-Membership answers come with checkable certificates: a member is an explicit
-combination of the inserted vectors, a non-member a finite linear functional
-that kills every inserted vector but not the query.  Both are built from one
-`reduce`, which a caller needing either answer can pass in instead of
-reducing twice.  Verification redoes the arithmetic directly and never trusts
-the elimination.
+Membership answers come with checkable certificates, produced in one place
+and checked in one place.  `Echelon.certificate` does one `reduce` and returns
+either an explicit combination of the inserted vectors (a member) or a finite
+linear functional that kills every inserted vector but not the query (a
+non-member).  `MembershipCertificate.verify` redoes the arithmetic against
+the family, given as rows in index order, and never trusts the elimination.
+`Echelon.extend` inserts such a family with canonical indices, single-term
+rows first, which is the order the single-term fast path of `insert` wants.
 """
 
 from __future__ import annotations
@@ -31,15 +33,9 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .budgets import BudgetExceeded
 from .freealg import word_key
 
-__all__ = [
-    "Echelon",
-    "MembershipCertificate",
-    "verify_member_combination",
-    "verify_functional",
-]
+__all__ = ["Echelon", "MembershipCertificate"]
 
 
 @dataclass
@@ -55,6 +51,46 @@ class MembershipCertificate:
     kind: str
     combination: list[tuple[int, object]] | None = None
     functional: dict[tuple, object] | None = None
+
+    def verify(self, field, query: dict, rows) -> bool:
+        """Check the certificate by direct arithmetic against the family,
+        rows given as an iterable in index order.
+
+        A member combination must sum to the query; rows are read only until
+        every index it names has been seen, and a missing index fails.  A
+        functional must take the value one on the query and vanish on every
+        row, so all rows are streamed (none when the query already fails).
+        """
+        if self.kind == "member":
+            needed = {idx for idx, _ in self.combination}
+            found: dict[int, dict] = {}
+            if needed:
+                for i, row in enumerate(rows):
+                    if i in needed:
+                        found[i] = row
+                        if len(found) == len(needed):
+                            break
+                if len(found) != len(needed):
+                    return False
+            acc: dict = {}
+            for idx, coeff in self.combination:
+                add_into(field, acc, found[idx], coeff)
+            return len(acc) == len(query) and all(
+                acc.get(w) == v for w, v in query.items())
+        if self.kind == "non_member":
+            functional = self.functional
+            fadd, fmul = field.add, field.mul
+
+            def value(vec):
+                acc = field.zero
+                for w, v in vec.items():
+                    c = functional.get(w)
+                    if c:
+                        acc = fadd(acc, fmul(c, v))
+                return acc
+
+            return value(query) == field.one and not any(map(value, rows))
+        raise ValueError(f"unknown certificate kind {self.kind!r}")
 
 
 def add_into(field, target: dict, src: dict, c):
@@ -73,13 +109,12 @@ def add_into(field, target: dict, src: dict, c):
 
 
 class Echelon:
-    def __init__(self, field, max_rows: int | None = None):
+    def __init__(self, field):
         self.field = field
         self.rows: dict[tuple, dict] = {}  # pivot word -> normalized row
         # pivot -> (original index, normalizing scalar, pivots its reduction used)
         self.history: dict[tuple, tuple[int, object, dict]] = {}
         self._flat_cache: dict[tuple, dict[int, object]] = {}
-        self.max_rows = max_rows
         self.inserted = 0  # one past the largest original index seen
 
     def __len__(self) -> int:
@@ -165,14 +200,12 @@ class Echelon:
             if row is not None and len(row) == 1:
                 return None
             if row is None and c:
-                self._check_room()
                 self.rows[w] = {w: field.one}
                 self.history[w] = (idx, field.inv(c), {})
                 return w
         residue, used = self.reduce(vec)
         if not residue:
             return None
-        self._check_room()
         pivot = min(residue, key=word_key)
         inv = field.inv(residue[pivot])
         if inv != field.one:
@@ -182,11 +215,21 @@ class Echelon:
         self.history[pivot] = (idx, inv, used)
         return pivot
 
-    def _check_room(self):
-        if self.max_rows is not None and len(self.rows) >= self.max_rows:
-            raise BudgetExceeded(
-                f"echelon exceeds {self.max_rows} rows", max_basis_size=self.max_rows
-            )
+    def extend(self, rows):
+        """Insert an enumerated family, continuing the index count.
+
+        Single-term rows go in as they come and claim their pivots for free;
+        the longer rows, held back until the end, reduce mostly against
+        monomial rows, so elimination stays cheap.
+        """
+        multi = []
+        for i, row in enumerate(rows, self.inserted):
+            if len(row) == 1:
+                self.insert(row, i)
+            else:
+                multi.append((i, row))
+        for i, row in multi:
+            self.insert(row, i)
 
     def _flat(self, pivot: tuple) -> dict[int, object]:
         """Combination of original vectors equal to the stored pivot row,
@@ -216,34 +259,24 @@ class Echelon:
             stack.pop()
         return cache[pivot]
 
-    def member_combination(self, vec: dict, reduced: tuple | None = None
-                           ) -> list[tuple[int, object]] | None:
-        """Combination of inserted vectors equal to vec, or None if outside
-        the span.  `reduced` is reduce(vec), when the caller already has it."""
-        residue, used = self.reduce(vec) if reduced is None else reduced
-        if residue:
-            return None
-        field = self.field
-        combo: dict[int, object] = {}
-        for p, c in used.items():
-            add_into(field, combo, self._flat(p), c)
-        return sorted(combo.items())
+    def certificate(self, vec: dict) -> MembershipCertificate:
+        """Membership certificate for vec, from one reduction.
 
-    def functional(self, vec: dict, reduced: tuple | None = None
-                   ) -> dict[tuple, object] | None:
-        """Linear functional vanishing on every inserted vector with value one
-        on vec, or None when vec lies in the span.  `reduced` is reduce(vec),
-        when the caller already has it.
-
-        Values are fixed on non-pivot words first (one on the residue's
-        smallest word after normalization, zero elsewhere), then each pivot's
-        value is forced by its own row, solved in descending pivot order so
-        every later word is already known.  A monomial row forces zero.
+        A member gets the combination of inserted vectors equal to it.  A
+        non-member gets a functional vanishing on every inserted vector with
+        value one on vec: values are fixed on non-pivot words first (one on
+        the residue's smallest word after normalization, zero elsewhere),
+        then each pivot's value is forced by its own row, solved in
+        descending pivot order so every later word is already known.  A
+        monomial row forces zero.
         """
-        residue, _ = self.reduce(vec) if reduced is None else reduced
-        if not residue:
-            return None
+        residue, used = self.reduce(vec)
         field = self.field
+        if not residue:
+            combo: dict[int, object] = {}
+            for p, c in used.items():
+                add_into(field, combo, self._flat(p), c)
+            return MembershipCertificate("member", combination=sorted(combo.items()))
         fadd, fmul = field.add, field.mul
         marked = min(residue, key=word_key)
         y: dict[tuple, object] = {marked: field.inv(residue[marked])}
@@ -259,32 +292,4 @@ class Echelon:
                     acc = fadd(acc, fmul(c, val))
             if acc:
                 y[pivot] = field.neg(acc)
-        return y
-
-
-def verify_member_combination(field, query: dict, combination, vector_at) -> bool:
-    """Check query == sum of coeff * vector_at(index) by direct arithmetic."""
-    acc: dict = {}
-    for idx, coeff in combination:
-        add_into(field, acc, vector_at(idx), coeff)
-    if len(acc) != len(query):
-        return False
-    return all(acc.get(w) == v for w, v in query.items())
-
-
-def apply_functional(field, functional: dict, vec: dict):
-    acc = field.zero
-    fadd, fmul = field.add, field.mul
-    for w, v in vec.items():
-        c = functional.get(w)
-        if c:
-            acc = fadd(acc, fmul(c, v))
-    return acc
-
-
-def verify_functional(field, query: dict, functional: dict, vectors) -> bool:
-    """Check the functional kills every vector in the iterable and evaluates
-    to one on the query."""
-    if apply_functional(field, functional, query) != field.one:
-        return False
-    return all(not apply_functional(field, functional, vec) for vec in vectors)
+        return MembershipCertificate("non_member", functional=y)

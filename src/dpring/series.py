@@ -60,7 +60,6 @@ def mat_scale(field, a, c):
 
 
 def mat_mul(field, a, b):
-    n = len(a)
     cols = tuple(zip(*b))
     out = []
     for row in a:

@@ -4,14 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from dpring.budgets import BudgetExceeded, Budgets
+from dpring.construction import ConstructionParams, SpanOracle, SpanQuery
 from dpring.fields import PrimeField, RationalField
-from dpring.membership import (
-    Echelon,
-    add_into,
-    apply_functional,
-    verify_functional,
-    verify_member_combination,
-)
+from dpring.freealg import FreePoly
+from dpring.membership import Echelon, MembershipCertificate, add_into
 
 Q = RationalField()
 
@@ -36,6 +33,14 @@ def random_vectors(rng, field, count, dim=6):
                     v[(j,)] = c
         vs.append(v)
     return vs
+
+
+def value(field, functional, v):
+    """A functional's value on a vector, summed directly."""
+    acc = field.zero
+    for w, c in v.items():
+        acc = field.add(acc, field.mul(functional.get(w, field.zero), c))
+    return acc
 
 
 # -- add_into -----------------------------------------------------------------
@@ -85,13 +90,13 @@ def test_monomial_pivot_dropped_then_brought_back():
     assert residue == vec(((2,), 1))
     assert used == {(0,): 1, (1,): 2}
     member = vec(((0,), 1), ((1,), 3))
-    combo = ech.member_combination(member)
-    assert combo == [(0, 1), (1, 2)]
-    assert verify_member_combination(Q, member, combo, lambda i: v[i])
+    cert = ech.certificate(member)
+    assert cert.kind == "member" and cert.combination == [(0, 1), (1, 2)]
+    assert cert.verify(Q, member, v)
     # here the returning multiple cancels the dropped one exactly
     residue, used = ech.reduce(v[0])
     assert residue == {} and used == {(0,): 1}
-    assert ech.member_combination(v[0]) == [(0, 1)]
+    assert ech.certificate(v[0]).combination == [(0, 1)]
 
 
 # -- single-term rows ---------------------------------------------------------------
@@ -103,7 +108,7 @@ def test_monomial_stores_unit_row():
     assert ech.insert(vec((w, 3))) == w
     assert ech.rows[w] == {w: 1} and type(ech.rows[w][w]) is int
     assert ech.history[w] == (0, Fraction(1, 3), {})
-    assert ech.member_combination(vec((w, 6))) == [(0, 2)]
+    assert ech.certificate(vec((w, 6))).combination == [(0, 2)]
 
 
 def test_repeated_monomial_is_dependent():
@@ -140,12 +145,19 @@ def test_pivot_is_minimal_word_key():
     assert piv == (1,)
 
 
-def test_max_rows_budget():
-    from dpring.budgets import BudgetExceeded
-    ech = Echelon(Q, max_rows=1)
-    ech.insert(vec(((0,), 1)))
+def test_basis_budget_bounds_the_echelon():
+    # the family cap is the only cap: rank <= rows enumerated, so an echelon
+    # cannot outgrow a family that span_rows let through.  At (10,3,1) the
+    # words (20,1) family has 22 rows of rank 20.
+    params = ConstructionParams(10, 3, 1, Q)
+    q = SpanQuery("words", 20, 1, level=1)
+    probe = FreePoly.monomial(Q, (0,) * 19 + (1,))
+    oracle = SpanOracle(params, Budgets(max_basis_size=22))
+    cert = oracle.member(probe, q)
+    assert cert.kind == "member" and oracle.verify(probe, q, cert)
+    assert oracle.component_stats(q)["family_size"] == 22
     with pytest.raises(BudgetExceeded):
-        ech.insert(vec(((1,), 1)))
+        SpanOracle(params, Budgets(max_basis_size=21)).member(probe, q)
 
 
 # -- member certificates ------------------------------------------------------------
@@ -164,18 +176,17 @@ def exercise_member_certificates(field, seed):
         for idx in rng.sample(range(len(vectors)), 3):
             add_into(field, target, vectors[idx],
                      field.from_int(rng.randint(-4, 4)))
-        combo = ech.member_combination(target)
-        assert combo is not None
-        assert verify_member_combination(field, target, combo,
-                                         lambda i: vectors[i])
+        cert = ech.certificate(target)
+        assert cert.kind == "member" and cert.functional is None
+        assert cert.verify(field, target, vectors)
         hits += 1
         # perturbation outside the span: always a non-member
         probe = dict(target)
         probe[(9,)] = field.one
-        if ech.member_combination(probe) is None:
-            fn = ech.functional(probe)
-            assert fn is not None
-            assert verify_functional(field, probe, fn, vectors)
+        cert = ech.certificate(probe)
+        if cert.kind == "non_member":
+            assert cert.functional is not None and cert.combination is None
+            assert cert.verify(field, probe, vectors)
             misses += 1
     assert hits == 40 and misses == 40
 
@@ -195,7 +206,7 @@ def test_member_combination_indices_refer_to_insertion_order():
     ech.insert(v0)
     ech.insert(v1)
     # x0 = v0 - v1
-    combo = dict(ech.member_combination(vec(((0,), 1))))
+    combo = dict(ech.certificate(vec(((0,), 1))).combination)
     assert combo == {0: 1, 1: -1}
 
 
@@ -206,9 +217,29 @@ def test_insert_with_explicit_indices():
     ech.insert(v[2], index=2)
     ech.insert(v[0], index=0)
     ech.insert(v[1], index=1)
-    combo = ech.member_combination(vec(((0,), 1)))
-    assert verify_member_combination(Q, vec(((0,), 1)), combo, lambda i: v[i])
-    assert dict(combo) == {0: 1, 1: -1}
+    cert = ech.certificate(vec(((0,), 1)))
+    assert cert.verify(Q, vec(((0,), 1)), v)
+    assert dict(cert.combination) == {0: 1, 1: -1}
+
+
+def test_extend_inserts_single_term_rows_first():
+    # the family order gives the indices; single-term rows go in first, and
+    # a second family continues the count
+    v = [vec(((0,), 1), ((1,), 1)), vec(((1,), 1)), vec(((2,), 1))]
+    ech = Echelon(Q)
+    ech.extend(v)
+    by_hand = Echelon(Q)
+    for i in (1, 2, 0):
+        by_hand.insert(v[i], index=i)
+    assert ech.rows == by_hand.rows and ech.history == by_hand.history
+    assert ech.inserted == 3
+    assert ech.history[(0,)] == (0, 1, {(1,): 1})
+    more = [vec(((0,), 1), ((3,), 1)), vec(((3,), 2))]
+    ech.extend(more)
+    assert ech.inserted == 5
+    assert ech.history[(3,)] == (4, Fraction(1, 2), {})
+    cert = ech.certificate(vec(((0,), 1)))
+    assert cert.verify(Q, vec(((0,), 1)), v + more)
 
 
 def test_dependent_rows_fold_into_earlier_indices():
@@ -217,9 +248,9 @@ def test_dependent_rows_fold_into_earlier_indices():
     for i, row in enumerate(v):
         ech.insert(row, index=i)
     target = vec(((0,), 1), ((1,), 2))
-    combo = ech.member_combination(target)
-    assert combo is not None
-    assert verify_member_combination(Q, target, combo, lambda i: v[i])
+    cert = ech.certificate(target)
+    assert cert.kind == "member"
+    assert cert.verify(Q, target, v)
 
 
 # -- functionals ----------------------------------------------------------------------
@@ -231,27 +262,68 @@ def test_functional_annihilates_span_and_marks_query():
     for r in rows:
         ech.insert(r)
     probe = vec(((3,), 7), ((0,), 1))
-    fn = ech.functional(probe)
-    assert fn is not None
+    cert = ech.certificate(probe)
+    assert cert.kind == "non_member"
+    fn = cert.functional
     # the functional vanishes on every row but not on the probe
     for r in rows:
-        assert apply_functional(Q, fn, r) == 0
-    assert apply_functional(Q, fn, probe) == 1
-    assert verify_functional(Q, probe, fn, rows)
+        assert value(Q, fn, r) == 0
+    assert value(Q, fn, probe) == 1
+    assert cert.verify(Q, probe, rows)
 
 
 def test_functional_none_for_members():
     ech = Echelon(Q)
     ech.insert(vec(((0,), 1)))
-    assert ech.functional(vec(((0,), 2))) is None
-    assert ech.member_combination(vec(((1,), 1))) is None
+    member = ech.certificate(vec(((0,), 2)))
+    assert member.kind == "member" and member.functional is None
+    stray = ech.certificate(vec(((1,), 1)))
+    assert stray.kind == "non_member" and stray.combination is None
 
 
 def test_zero_vector_is_always_member():
     ech = Echelon(Q)
     assert ech.reduce({})[0] == {}
-    assert ech.member_combination({}) == []
-    assert verify_member_combination(Q, {}, [], lambda i: {})
+    assert ech.certificate({}).combination == []
+    assert MembershipCertificate("member", combination=[]).verify(Q, {}, [])
+
+
+# -- verification ---------------------------------------------------------------------
+
+
+def rows_then_fail(rows):
+    """The rows in order, then an error if anything reads past them."""
+    yield from rows
+    raise AssertionError("read past the last needed row")
+
+
+def test_member_verify_stops_at_last_needed_index():
+    v = [vec(((0,), 1), ((1,), 1)), vec(((1,), 1))]
+    cert = MembershipCertificate("member", combination=[(0, 1), (1, -1)])
+    assert cert.verify(Q, vec(((0,), 1)), rows_then_fail(v))
+    # an index past the family, or a wrong sum, fails
+    past = MembershipCertificate("member", combination=[(0, 1), (2, -1)])
+    assert not past.verify(Q, vec(((0,), 1)), v)
+    assert not cert.verify(Q, vec(((0,), 2)), v)
+    assert not cert.verify(Q, vec(((0,), 1), ((2,), 1)), v)
+
+
+def test_non_member_verify_streams_every_row():
+    rows = [vec(((0,), 1), ((1,), 2)), vec(((1,), 1), ((2,), 3))]
+    probe = vec(((3,), 7), ((0,), 1))
+    ech = Echelon(Q)
+    ech.extend(rows)
+    cert = ech.certificate(probe)
+    assert cert.verify(Q, probe, rows)
+    # a row the functional does not kill fails, wherever it comes
+    assert not cert.verify(Q, probe, rows + [probe])
+    # a query not valued one fails before any row is read
+    assert not cert.verify(Q, vec(((3,), 1)), rows_then_fail([]))
+
+
+def test_unknown_certificate_kind_raises():
+    with pytest.raises(ValueError):
+        MembershipCertificate("maybe").verify(Q, {}, [])
 
 
 # -- normal form properties ----------------------------------------------------------
