@@ -24,7 +24,14 @@ from .construction import (
     words_iter,
 )
 from .fields import FieldError, PrimeField, RationalField, make_field
-from .freealg import FreePoly, derive, poly_from_text, poly_to_text, word_key
+from .freealg import (
+    FreePoly,
+    ShiftDerivation,
+    derive,
+    poly_from_text,
+    poly_to_text,
+    word_key,
+)
 from .harness import CAMPAIGNS, CampaignReport, run_campaign
 from .membership import Echelon, MembershipCertificate
 from .ore import (
@@ -38,7 +45,6 @@ from .ore import (
 )
 from .series import (
     InnerDerivation,
-    MatSkewPoly,
     coefficient_identity,
     invert_one_minus,
     nil_index,
@@ -60,12 +66,12 @@ __all__ = [
     "FieldError",
     "FreePoly",
     "InnerDerivation",
-    "MatSkewPoly",
     "MembershipCertificate",
     "OrePoly",
     "ParamsError",
     "PrimeField",
     "RationalField",
+    "ShiftDerivation",
     "SpanOracle",
     "SpanQuery",
     "coefficient_identity",

@@ -26,7 +26,7 @@ from .construction import (
     SpanQuery,
 )
 from .fields import FieldError, make_field
-from .freealg import poly_from_text, poly_to_text
+from .freealg import ShiftDerivation, poly_from_text, poly_to_text
 from .ore import OrePoly, expand_power, expand_power_window, ore_to_text
 
 EXIT_OK = 0
@@ -201,8 +201,8 @@ def cmd_expand(args, cfg: RunConfig) -> int:
     if args.window is None:
         ore = expand_power(field, args.m, max_expand_m=cfg.budgets.max_expand_m)
     else:
-        coeffs = expand_power_window(field, args.m, args.window)
-        ore = OrePoly.from_coeffs(field, coeffs.items())
+        ore = OrePoly(ShiftDerivation(field),
+                      expand_power_window(field, args.m, args.window))
     doc = {
         "schema": "dpring.expand/1",
         "m": args.m,

@@ -254,6 +254,19 @@ def collision_test(params: ConstructionParams, k: int, candidate):
     return None
 
 
+def _component_dim(length: int, degree: int, budgets: Budgets) -> int:
+    """Dimension of the component (length, degree), refused above the
+    budget."""
+    dim = count_words(length, degree)
+    if dim > budgets.max_component_dim:
+        raise BudgetExceeded(
+            f"component ({length}, {degree}) has dimension {dim} (budget "
+            f"{budgets.max_component_dim})",
+            component_dimension=dim,
+        )
+    return dim
+
+
 def collision_elements(params: ConstructionParams, k: int, degree: int,
                        budgets: Budgets = DEFAULT_BUDGETS):
     """All level-k collision elements of the component (N(k)-1, degree), in a
@@ -263,13 +276,7 @@ def collision_elements(params: ConstructionParams, k: int, degree: int,
     length = params.block(k) - 1
     if not slots or degree < 0:
         return
-    dim = count_words(length, degree)
-    if dim > budgets.max_component_dim:
-        raise BudgetExceeded(
-            f"component ({length}, {degree}) has dimension {dim} (budget "
-            f"{budgets.max_component_dim})",
-            component_dimension=dim,
-        )
+    _component_dim(length, degree, budgets)
     for w in words_iter(length, degree):
         if _repeats(w, slots):
             yield CollisionElement(k, "repeat", (w,))
@@ -390,13 +397,7 @@ def span_rows(params: ConstructionParams, query: SpanQuery,
               budgets: Budgets = DEFAULT_BUDGETS, _cache: dict | None = None):
     """Deterministic enumeration of the spanning family of the queried space
     inside the component, as sparse word->scalar dicts."""
-    dim = count_words(query.length, query.degree)
-    if dim > budgets.max_component_dim:
-        raise BudgetExceeded(
-            f"component ({query.length}, {query.degree}) has dimension {dim} "
-            f"(budget {budgets.max_component_dim})",
-            component_dimension=dim,
-        )
+    dim = _component_dim(query.length, query.degree, budgets)
     cache = {} if _cache is None else _cache
     count = 0
     for row in _dispatch_rows(params, query, budgets, cache):

@@ -18,8 +18,10 @@ from .fields import FieldError
 
 __all__ = [
     "FreePoly",
+    "ShiftDerivation",
     "word_stats",
     "word_key",
+    "word_to_text",
     "derive",
     "derive_iter",
 ]
@@ -196,6 +198,38 @@ def derive(p: FreePoly) -> FreePoly:
     return FreePoly(field, out)
 
 
+class ShiftDerivation:
+    """The free algebra over `field` with the shift derivation, as the
+    coefficient ring of a differential polynomial ring: calling it derives,
+    and it supplies the ring operations `ore.OrePoly` needs."""
+
+    __slots__ = ("field",)
+
+    def __init__(self, field):
+        self.field = field
+
+    def __call__(self, a: FreePoly) -> FreePoly:
+        return derive(a)
+
+    def zero(self) -> FreePoly:
+        return FreePoly.zero(self.field)
+
+    def one(self) -> FreePoly:
+        return FreePoly.one(self.field)
+
+    add = staticmethod(FreePoly.__add__)
+    sub = staticmethod(FreePoly.__sub__)
+    is_zero = staticmethod(FreePoly.is_zero)
+
+    @staticmethod
+    def scaled(a: FreePoly, b: FreePoly, w) -> FreePoly:
+        """a * (w b) for a nonzero scalar w."""
+        return a * b.scale(w)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ShiftDerivation) and other.field == self.field
+
+
 def derive_iter(p: FreePoly, times: int) -> FreePoly:
     """`times`-fold application of the shift derivation."""
     if times < 0:
@@ -215,15 +249,17 @@ _TERM_RE = re.compile(
 )
 
 
+def word_to_text(word: tuple) -> str:
+    """A monomial in the term grammar: "x<i>.x<j>..." or "1" when empty."""
+    return ".".join(f"x{i}" for i in word) if word else "1"
+
+
 def poly_to_text(p: FreePoly) -> str:
     if not p.terms:
         return "0"
     fmt = p.field.format
-    bits = []
-    for word in sorted(p.terms, key=word_key):
-        mono = ".".join(f"x{i}" for i in word) if word else "1"
-        bits.append(f"{fmt(p.terms[word])}*{mono}")
-    return " + ".join(bits)
+    return " + ".join(f"{fmt(p.terms[word])}*{word_to_text(word)}"
+                      for word in sorted(p.terms, key=word_key))
 
 
 def poly_from_text(field, text: str) -> FreePoly:

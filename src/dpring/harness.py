@@ -33,7 +33,7 @@ from .construction import (
     words_iter,
 )
 from .fields import RationalField
-from .freealg import FreePoly, derive
+from .freealg import FreePoly, derive, word_to_text
 from .ore import expand_power, expand_power_window, is_ballot_word
 from .series import (
     InnerDerivation,
@@ -81,10 +81,6 @@ def field_label(field) -> str:
     return field.name
 
 
-def _word_text(word: tuple) -> str:
-    return "1" if not word else ".".join(f"x{i}" for i in word)
-
-
 def summarize_certificate(field, cert) -> dict:
     """JSON-ready certificate digest; small certificates appear verbatim."""
     if cert.kind == "member":
@@ -97,7 +93,7 @@ def summarize_certificate(field, cert) -> dict:
     out = {"kind": "non_member", "entries": len(cert.functional)}
     if len(cert.functional) <= INLINE_CERT_LIMIT:
         out["functional"] = {
-            _word_text(w): field.format(c) for w, c in cert.functional.items()
+            word_to_text(w): field.format(c) for w, c in cert.functional.items()
         }
     return out
 
@@ -193,7 +189,7 @@ def verify_ballot(field=None, m_max: int = 8) -> CampaignReport:
                 seen.add(w)
                 if len(w) != m or sum(w) != m - t or not is_ballot_word(w):
                     ok = False
-                    detail["offender"] = {"t": t, "word": _word_text(w)}
+                    detail["offender"] = {"t": t, "word": word_to_text(w)}
         catalan = comb(2 * m, m) // (m + 1)
         if field.characteristic == 0:
             # in positive characteristic binomial weights can vanish, so the
@@ -305,7 +301,7 @@ def verify_z_closure(params: ConstructionParams, samples: int = 25, seed: int = 
                 rep.add("derivative of a collision element stays in the span",
                         f"level {k}, degree {d}", False,
                         {"kind": elem.kind,
-                         "word": _word_text(elem.words[0]),
+                         "word": word_to_text(elem.words[0]),
                          "certificate": summarize_certificate(field, cert)})
             else:
                 max_witness = max(max_witness, len(cert.combination))
@@ -503,15 +499,14 @@ def _descend(params: ConstructionParams, k: int, h: int, oracle: SpanOracle,
 
 
 def locate_escape(params: ConstructionParams, k: int = 1, h: int = 1,
-                  budgets: Budgets = DEFAULT_BUDGETS,
-                  oracle: SpanOracle | None = None) -> CampaignReport:
+                  budgets: Budgets = DEFAULT_BUDGETS) -> CampaignReport:
     """Find the largest window coefficient of (x0 X)^(h*N-1) outside the
     level-k collision span and check it beats the strict threshold
     (k+2)(m+1) / (2(k+1)); coefficients above it are certified members.
     """
     field = params.field
     rep = CampaignReport("escape", {**_params_dict(params), "level": k, "h": h})
-    oracle = oracle or SpanOracle(params, budgets)
+    oracle = SpanOracle(params, budgets)
     m, floor, i, a, q, cert, tail = _descend(params, k, h, oracle, budgets)
     if i is None:
         rep.add("a window coefficient escapes the collision span",
@@ -652,7 +647,7 @@ def verify_phi(params: ConstructionParams, kill_samples: int = 100,
             bad += 1
             rep.add("reorder kills the top collision family",
                     f"level {k}, {elem.kind}", False,
-                    {"word": _word_text(elem.words[0])})
+                    {"word": word_to_text(elem.words[0])})
         batch.append(z)
         if len(batch) == 5:
             combo = FreePoly.zero(field)
@@ -681,7 +676,7 @@ def verify_phi(params: ConstructionParams, kill_samples: int = 100,
         if img != (1, sorted_word):
             bad += 1
             rep.add("reorder fixes checkpoint-sorted words", "fix", False,
-                    {"word": _word_text(sorted_word)})
+                    {"word": word_to_text(sorted_word)})
         a, b = (slots[i] for i in rng.sample(range(len(slots)), 2))
         swapped = list(sorted_word)
         swapped[a], swapped[b] = swapped[b], swapped[a]
@@ -689,13 +684,13 @@ def verify_phi(params: ConstructionParams, kill_samples: int = 100,
         if img2 != (-1, sorted_word):
             bad += 1
             rep.add("reorder signs a transposition by -1", "sign", False,
-                    {"word": _word_text(tuple(swapped))})
+                    {"word": word_to_text(tuple(swapped))})
         foreign = list(sorted_word)
         foreign[slots[0]] = targets[-1] + 1
         if signed_reorder_word(params, k, tuple(foreign)) is not None:
             bad += 1
             rep.add("reorder kills foreign checkpoint letters", "kill", False,
-                    {"word": _word_text(tuple(foreign))})
+                    {"word": word_to_text(tuple(foreign))})
     if not bad:
         rep.add("reorder fixes sorted words, signs transpositions, kills "
                 "foreign letters", f"level {k}", True,

@@ -1,10 +1,12 @@
-"""The differential polynomial ring over the free algebra.
+"""The differential polynomial ring R[X; D] over a ring with a derivation.
 
-Elements are finite sums a_t X^t with free-algebra coefficients; the variable
-obeys X*a = a*X + derive(a).  Pushing X^n past a coefficient uses the closed
-form X^n a = sum_k C(n, k) * derive^k(a) * X^(n-k); binomials are computed
-over the integers and then mapped into the scalar field.  `skew_product`
-applies that rule for `OrePoly` here and for `MatSkewPoly` in `series`.
+Elements are finite sums a_t X^t with coefficients in R; the variable obeys
+X*a = a*X + D(a).  Pushing X^n past a coefficient uses the closed form
+X^n a = sum_k C(n, k) * D^k(a) * X^(n-k); binomials are computed over the
+integers and then mapped into the scalar field.  `OrePoly` serves every
+coefficient ring: the free algebra with the shift derivation
+(`freealg.ShiftDerivation`) here, and nilpotent matrices with an inner
+derivation (`series.InnerDerivation`) for the series identities.
 
 Two expansion routes are provided for powers of (x0 X): `expand_power`
 multiplies out step by step through the generic product, `expand_power_window`
@@ -20,11 +22,10 @@ from math import comb
 
 from .budgets import BudgetExceeded, DEFAULT_BUDGETS
 from .fields import FieldError
-from .freealg import FreePoly, derive, poly_from_text, poly_to_text
+from .freealg import FreePoly, ShiftDerivation, poly_from_text, poly_to_text
 
 __all__ = [
     "OrePoly",
-    "skew_product",
     "commute_past",
     "expand_power",
     "expand_power_window",
@@ -35,37 +36,28 @@ __all__ = [
 
 
 class OrePoly:
-    """Sparse skew polynomial: map from X-exponent to FreePoly coefficient."""
+    """Sparse element of R[X; D]: map from X-exponent to nonzero coefficient.
 
-    __slots__ = ("field", "coeffs")
+    `ring` is the coefficient ring with its derivation: calling it derives,
+    and it supplies `field`, `zero()`, `one()`, `add`, `sub`, `is_zero` and
+    `scaled(a, b, w) = a * (w b)`.  Zero coefficients are dropped.
+    """
 
-    def __init__(self, field, coeffs: dict[int, FreePoly] | None = None):
-        self.field = field
-        self.coeffs = {} if coeffs is None else coeffs
+    __slots__ = ("ring", "coeffs")
+
+    def __init__(self, ring, coeffs: dict | None = None):
+        self.ring = ring
+        is_zero = ring.is_zero
+        self.coeffs = {} if coeffs is None else {
+            t: a for t, a in coeffs.items() if not is_zero(a)}
 
     @classmethod
-    def zero(cls, field) -> "OrePoly":
-        return cls(field, {})
+    def one(cls, ring) -> "OrePoly":
+        return cls(ring, {0: ring.one()})
 
-    @classmethod
-    def one(cls, field) -> "OrePoly":
-        return cls(field, {0: FreePoly.one(field)})
-
-    @classmethod
-    def from_coeffs(cls, field, items) -> "OrePoly":
-        coeffs: dict[int, FreePoly] = {}
-        for t, p in dict(items).items():
-            if t < 0:
-                raise ValueError("X-exponents are non-negative")
-            if p.field != field:
-                raise ValueError("mixed coefficient fields")
-            if not p.is_zero():
-                coeffs[t] = p
-        return cls(field, coeffs)
-
-    def coeff(self, t: int) -> FreePoly:
-        """Coefficient of X^t (zero polynomial when absent)."""
-        return self.coeffs.get(t, FreePoly.zero(self.field))
+    def coeff(self, t: int):
+        """Coefficient of X^t (the ring's zero when absent)."""
+        return self.coeffs.get(t, self.ring.zero())
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -73,87 +65,71 @@ class OrePoly:
     def _check_compatible(self, other: "OrePoly"):
         if not isinstance(other, OrePoly):
             raise TypeError(f"expected OrePoly, got {type(other).__name__}")
-        if other.field != self.field:
-            raise ValueError("mixed coefficient fields")
+        if other.ring != self.ring:
+            raise ValueError("mixed coefficient rings")
+
+    def _merge(self, other: "OrePoly", op) -> "OrePoly":
+        self._check_compatible(other)
+        zero = self.ring.zero()
+        out = dict(self.coeffs)
+        for t, b in other.coeffs.items():
+            out[t] = op(out.get(t, zero), b)
+        return OrePoly(self.ring, out)
 
     def __add__(self, other: "OrePoly") -> "OrePoly":
-        self._check_compatible(other)
-        out = dict(self.coeffs)
-        for t, p in other.coeffs.items():
-            q = out.get(t)
-            s = p if q is None else q + p
-            if s.is_zero():
-                out.pop(t, None)
-            else:
-                out[t] = s
-        return OrePoly(self.field, out)
-
-    def __neg__(self) -> "OrePoly":
-        return OrePoly(self.field, {t: -p for t, p in self.coeffs.items()})
+        return self._merge(other, self.ring.add)
 
     def __sub__(self, other: "OrePoly") -> "OrePoly":
-        return self + (-other)
+        return self._merge(other, self.ring.sub)
 
     def __mul__(self, other: "OrePoly") -> "OrePoly":
+        """(sum a_i X^i) * (sum b_j X^j), passing X^i over b_j by the closed
+        form, each binomial reduced into the field first."""
         self._check_compatible(other)
-        return OrePoly(self.field, skew_product(
-            self.field, self.coeffs, other.coeffs, derive, _scaled_product,
-            FreePoly.__add__, FreePoly.is_zero))
+        ring = self.ring
+        derive, scaled, add, is_zero = ring, ring.scaled, ring.add, ring.is_zero
+        from_int = ring.field.from_int
+        out: dict = {}
+        for i, a in self.coeffs.items():
+            for j, b in other.coeffs.items():
+                dtb = b
+                for t in range(i + 1):
+                    if t:
+                        dtb = derive(dtb)
+                    if is_zero(dtb):
+                        break  # all higher derivatives vanish as well
+                    w = from_int(comb(i, t))
+                    if not w:
+                        continue
+                    p = scaled(a, dtb, w)
+                    e = i - t + j
+                    q = out.get(e)
+                    s = p if q is None else add(q, p)
+                    if is_zero(s):
+                        out.pop(e, None)
+                    else:
+                        out[e] = s
+        return OrePoly(ring, out)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, OrePoly)
-            and other.field == self.field
+            and other.ring == self.ring
             and other.coeffs == self.coeffs
         )
 
     __hash__ = None
 
     def __repr__(self):
-        return f"OrePoly({ore_to_text(self)!r})"
-
-
-def skew_product(field, left: dict, right: dict, derive, mul, add, is_zero) -> dict:
-    """Coefficients of (sum a_i X^i) * (sum b_j X^j), factors given as
-    exponent -> coefficient maps, in any ring with X b = b X + derive(b).
-
-    X^i passes b_j by the closed form, each binomial reduced into the field
-    first.  `mul(a, b, w)` returns a * (w b) for a nonzero scalar w; `add`
-    and `is_zero` act on coefficients.  Zero sums are dropped.
-    """
-    out: dict = {}
-    for i, a in left.items():
-        for j, b in right.items():
-            dtb = b
-            for t in range(i + 1):
-                if t:
-                    dtb = derive(dtb)
-                if is_zero(dtb):
-                    break  # all higher derivatives vanish as well
-                w = field.from_int(comb(i, t))
-                if not w:
-                    continue
-                p = mul(a, dtb, w)
-                e = i - t + j
-                q = out.get(e)
-                s = p if q is None else add(q, p)
-                if is_zero(s):
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-    return out
-
-
-def _scaled_product(a: FreePoly, b: FreePoly, w) -> FreePoly:
-    return a * b.scale(w)
+        return f"OrePoly({self.coeffs!r})"
 
 
 def commute_past(a: FreePoly, n: int) -> OrePoly:
     """X^n * a as an OrePoly, via the closed commutation form."""
     if n < 0:
         raise ValueError("exponent must be >= 0")
-    field = a.field
-    return OrePoly(field, {n: FreePoly.one(field)}) * OrePoly(field, {0: a})
+    ring = ShiftDerivation(a.field)
+    return OrePoly(ring, {n: ring.one()}) * OrePoly(ring, {0: a})
 
 
 def expand_power(field, m: int, max_expand_m: int | None = None) -> OrePoly:
@@ -172,8 +148,9 @@ def expand_power(field, m: int, max_expand_m: int | None = None) -> OrePoly:
             m=m,
             max_expand_m=cap,
         )
-    step = OrePoly(field, {1: FreePoly.generator(field, 0)})
-    out = OrePoly.one(field)
+    ring = ShiftDerivation(field)
+    step = OrePoly(ring, {1: FreePoly.generator(field, 0)})
+    out = OrePoly.one(ring)
     for _ in range(m):
         out = out * step
     return out
@@ -246,9 +223,10 @@ def ore_to_text(p: OrePoly) -> str:
 
 
 def ore_from_text(field, text: str) -> OrePoly:
+    ring = ShiftDerivation(field)
     text = text.strip()
     if text == "0":
-        return OrePoly.zero(field)
+        return OrePoly(ring)
     coeffs: dict[int, FreePoly] = {}
     last_t = None
     for chunk in text.split(" + ("):
@@ -262,7 +240,5 @@ def ore_from_text(field, text: str) -> OrePoly:
         if last_t is not None and t >= last_t:
             raise FieldError("exponents must be strictly decreasing")
         last_t = t
-        poly = poly_from_text(field, m.group("poly"))
-        if not poly.is_zero():
-            coeffs[t] = poly
-    return OrePoly(field, coeffs)
+        coeffs[t] = poly_from_text(field, m.group("poly"))
+    return OrePoly(ring, coeffs)

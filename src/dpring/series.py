@@ -1,18 +1,20 @@
-"""Nilpotent matrix algebras with inner derivations, and skew polynomials
-over them.
+"""Nilpotent matrix algebras with inner derivations, and the differential
+polynomials over them.
 
 The ambient ring is the strictly upper-triangular n x n matrices, which is
 nilpotent of index <= n; its unital hull embeds as upper-triangular matrices
 with a constant diagonal.  The derivation is commutation with a fixed
-strictly upper-triangular element, which is locally nilpotent there.  Over
-such a ring the geometric series of c X^p truncates to a polynomial, so the
-inverse of 1 - c X^p exists inside the skew polynomial ring itself and every
-identity can be checked exactly.
+strictly upper-triangular element, which is locally nilpotent there.
+`InnerDerivation` is that matrix ring with its derivation, the coefficient
+ring of `ore.OrePoly` here.  Over such a ring the geometric series of c X^p
+truncates to a polynomial, so the inverse of 1 - c X^p exists inside the
+differential polynomial ring itself and every identity can be checked
+exactly.
 """
 
 from __future__ import annotations
 
-from .ore import skew_product
+from .ore import OrePoly
 
 __all__ = [
     "zero_matrix",
@@ -25,7 +27,6 @@ __all__ = [
     "is_strictly_upper",
     "nil_index",
     "InnerDerivation",
-    "MatSkewPoly",
     "s_index",
     "invert_one_minus",
     "coefficient_identity",
@@ -99,7 +100,9 @@ def nil_index(field, a) -> int:
 
 
 class InnerDerivation:
-    """a -> u a - a u for a fixed strictly upper-triangular u."""
+    """The n x n matrices over `field` with the derivation a -> u a - a u,
+    for a fixed strictly upper-triangular u: calling it derives, and it
+    supplies the ring operations `ore.OrePoly` needs."""
 
     def __init__(self, field, u):
         if not is_strictly_upper(u):
@@ -112,6 +115,29 @@ class InnerDerivation:
     def __call__(self, a):
         f = self.field
         return mat_sub(f, mat_mul(f, self.u, a), mat_mul(f, a, self.u))
+
+    def zero(self):
+        return zero_matrix(self.field, self.n)
+
+    def one(self):
+        return identity_matrix(self.field, self.n)
+
+    def add(self, a, b):
+        return mat_add(self.field, a, b)
+
+    def sub(self, a, b):
+        return mat_sub(self.field, a, b)
+
+    is_zero = staticmethod(mat_is_zero)
+
+    def scaled(self, a, b, w):
+        """a * (w b) for a nonzero scalar w."""
+        f = self.field
+        return mat_mul(f, a, mat_scale(f, b, w))
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, InnerDerivation)
+                and other.field == self.field and other.u == self.u)
 
 
 def s_index(r, D: InnerDerivation) -> int:
@@ -129,84 +155,19 @@ def s_index(r, D: InnerDerivation) -> int:
     return n
 
 
-# -- skew polynomials over the matrix hull ------------------------------------
-
-
-class MatSkewPoly:
-    """Sparse X-polynomial with matrix coefficients; X a = a X + D(a)."""
-
-    __slots__ = ("field", "D", "coeffs")
-
-    def __init__(self, field, D: InnerDerivation, coeffs: dict[int, tuple] | None = None):
-        self.field = field
-        self.D = D
-        self.coeffs = {} if coeffs is None else {
-            t: m for t, m in coeffs.items() if not mat_is_zero(m)
-        }
-
-    @classmethod
-    def one(cls, field, D) -> "MatSkewPoly":
-        return cls(field, D, {0: identity_matrix(field, D.n)})
-
-    @classmethod
-    def term(cls, field, D, a, p: int) -> "MatSkewPoly":
-        return cls(field, D, {p: a})
-
-    def coeff(self, t: int):
-        return self.coeffs.get(t, zero_matrix(self.field, self.D.n))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "MatSkewPoly") -> "MatSkewPoly":
-        f = self.field
-        out = dict(self.coeffs)
-        for t, m in other.coeffs.items():
-            s = mat_add(f, out[t], m) if t in out else m
-            if mat_is_zero(s):
-                out.pop(t, None)
-            else:
-                out[t] = s
-        return MatSkewPoly(f, self.D, out)
-
-    def __sub__(self, other: "MatSkewPoly") -> "MatSkewPoly":
-        f = self.field
-        out = dict(self.coeffs)
-        for t, m in other.coeffs.items():
-            s = mat_sub(f, out[t], m) if t in out else mat_scale(f, m, f.neg(f.one))
-            if mat_is_zero(s):
-                out.pop(t, None)
-            else:
-                out[t] = s
-        return MatSkewPoly(f, self.D, out)
-
-    def __mul__(self, other: "MatSkewPoly") -> "MatSkewPoly":
-        f = self.field
-        return MatSkewPoly(f, self.D, skew_product(
-            f, self.coeffs, other.coeffs, self.D,
-            lambda a, b, w: mat_mul(f, a, mat_scale(f, b, w)),
-            lambda a, b: mat_add(f, a, b), mat_is_zero))
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, MatSkewPoly) and other.coeffs == self.coeffs)
-
-    __hash__ = None
-
-
-def invert_one_minus(c, p: int, D: InnerDerivation) -> MatSkewPoly:
+def invert_one_minus(c, p: int, D: InnerDerivation) -> OrePoly:
     """Inverse of 1 - c X^p as a genuine polynomial, identities verified.
 
     Truncation is guaranteed: every coefficient of (c X^p)^i is a sum of
     products of i strictly upper-triangular factors, so powers die at the
     ambient nilpotency index.
     """
-    field = D.field
     if not is_strictly_upper(c):
         raise ValueError("c must lie in the strictly upper-triangular ring")
     if p <= s_index(c, D):
         raise ValueError(f"need p > s_index(c) = {s_index(c, D)}, got {p}")
-    one = MatSkewPoly.one(field, D)
-    g = MatSkewPoly.term(field, D, c, p)
+    one = OrePoly.one(D)
+    g = OrePoly(D, {p: c})
     inv = one
     power = one
     for _ in range(D.n + 1):
@@ -227,11 +188,11 @@ def coefficient_identity(c, p: int, n: int, D: InnerDerivation) -> bool:
     """Whether the X^(n*p) coefficient of (c X^p)^n equals the matrix power
     c^n (it must, whenever p exceeds the derivation index of c)."""
     field = D.field
-    g = MatSkewPoly.term(field, D, c, p)
-    power = MatSkewPoly.one(field, D)
+    g = OrePoly(D, {p: c})
+    power = OrePoly.one(D)
     for _ in range(n):
         power = power * g
-    expected = identity_matrix(field, D.n)
+    expected = D.one()
     for _ in range(n):
         expected = mat_mul(field, expected, c)
     return power.coeff(n * p) == expected

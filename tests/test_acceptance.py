@@ -136,7 +136,7 @@ def test_criterion_03_full_scale_escape():
     assert cert_out.kind == "non_member"
     assert oracle.verify(a97, q2, cert_out)
 
-    rep = locate_escape(params, k=1, h=1, oracle=oracle)
+    rep = locate_escape(params, k=1, h=1)
     assert not failed_checks(rep), failed_checks(rep)
     found = [c.detail["escape_index"] for c in rep.checks
              if c.detail.get("escape_index") is not None]

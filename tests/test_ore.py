@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from dpring.budgets import BudgetExceeded
 from dpring.fields import PrimeField, RationalField
-from dpring.freealg import FreePoly, derive, poly_to_text, word_stats
+from dpring.freealg import FreePoly, ShiftDerivation, derive, poly_to_text
 from dpring.ore import (
     OrePoly,
     commute_past,
@@ -21,6 +21,7 @@ from dpring.ore import (
 )
 
 Q = RationalField()
+R = ShiftDerivation(Q)  # the free algebra over Q as a coefficient ring
 
 
 def one_step(coeffs: dict) -> dict:
@@ -59,7 +60,7 @@ def random_poly(rng, field=Q):
 
 def test_commute_past_base_cases():
     x0 = FreePoly.generator(Q, 0)
-    assert commute_past(x0, 0) == OrePoly(Q, {0: x0})
+    assert commute_past(x0, 0) == OrePoly(R, {0: x0})
     # X * x0 = x0 X + x1
     moved = commute_past(x0, 1)
     assert moved.coeff(1) == x0
@@ -104,18 +105,18 @@ def test_commute_past_zero_poly():
 
 def test_ore_ring_identities():
     x0 = FreePoly.generator(Q, 0)
-    X = OrePoly(Q, {1: FreePoly.one(Q)})
-    a = OrePoly(Q, {0: x0})
+    X = OrePoly(R, {1: FreePoly.one(Q)})
+    a = OrePoly(R, {0: x0})
     # X a - a X = derive(a)
-    assert X * a - a * X == OrePoly(Q, {0: derive(x0)})
-    one = OrePoly.one(Q)
+    assert X * a - a * X == OrePoly(R, {0: derive(x0)})
+    one = OrePoly.one(R)
     assert one * X == X * one == X
 
 
 def test_ore_mul_associative_random():
     rng = random.Random(7)
     for _ in range(10):
-        ps = [OrePoly(Q, {rng.randint(0, 2): random_poly(rng),
+        ps = [OrePoly(R, {rng.randint(0, 2): random_poly(rng),
                           rng.randint(0, 2): random_poly(rng)})
               for _ in range(3)]
         a, b, c = ps
@@ -124,25 +125,39 @@ def test_ore_mul_associative_random():
 
 def test_ore_add_sub_degree():
     x0 = FreePoly.generator(Q, 0)
-    p = OrePoly(Q, {3: x0, 0: FreePoly.one(Q)})
+    p = OrePoly(R, {3: x0, 0: FreePoly.one(Q)})
     assert max(p.coeffs) == 3
     assert (p - p).is_zero()
     assert p.coeff(2).is_zero()
 
 
-def test_from_coeffs_normalizes():
+def test_constructor_drops_zero_coefficients():
     x0 = FreePoly.generator(Q, 0)
-    p = OrePoly.from_coeffs(Q, {2: x0, 1: FreePoly.zero(Q)})
+    p = OrePoly(R, {2: x0, 1: FreePoly.zero(Q)})
     assert sorted(p.coeffs) == [2]
-    with pytest.raises(ValueError):
-        OrePoly.from_coeffs(Q, {-1: x0})
+    zero = OrePoly(R, {1: FreePoly.zero(Q)})
+    assert zero.is_zero()
+    assert zero == OrePoly(R)
+    assert zero == p - p
+
+
+def test_mixed_fields_are_refused():
+    x0 = FreePoly.generator(Q, 0)
+    f5 = PrimeField(5)
+    p = OrePoly(R, {0: x0})
+    q = OrePoly(ShiftDerivation(f5), {0: FreePoly.generator(f5, 0)})
+    assert p != q
+    assert p == OrePoly(ShiftDerivation(RationalField()), {0: x0})
+    for op in (lambda: p + q, lambda: p - q, lambda: p * q):
+        with pytest.raises(ValueError, match="mixed coefficient rings"):
+            op()
 
 
 # -- canonical power expansion ------------------------------------------------------
 
 
 def test_expand_power_small_frozen():
-    assert expand_power(Q, 0) == OrePoly.one(Q)
+    assert expand_power(Q, 0) == OrePoly.one(R)
     assert ore_to_text(expand_power(Q, 1)) == "(1*x0)X^1"
     assert ore_to_text(expand_power(Q, 2)) == "(1*x0.x0)X^2 + (1*x0.x1)X^1"
     assert ore_to_text(expand_power(Q, 3)) == (
@@ -250,7 +265,7 @@ def test_ore_text_round_trip_frozen():
     p = expand_power(Q, 3)
     text = ore_to_text(p)
     assert ore_from_text(Q, text) == p
-    assert ore_to_text(OrePoly.zero(Q)) == "0"
+    assert ore_to_text(OrePoly(R)) == "0"
     assert ore_from_text(Q, "0").is_zero()
 
 

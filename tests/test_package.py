@@ -1,19 +1,27 @@
 """Package surface: every exported name resolves, no private name crosses
-a module boundary, no function binds a local it never reads."""
+a module boundary, no function binds a local it never reads, and the
+README's examples run."""
 import ast
+import contextlib
 import importlib
+import io
+import json
 import pkgutil
+import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 import dpring
+from dpring.cli import main
 
 MODULES = ["dpring"] + sorted(
     f"dpring.{info.name}" for info in pkgutil.iter_modules(dpring.__path__))
 SOURCES = sorted(Path(dpring.__file__).parent.glob("*.py"))
 # nodes opening a scope of their own; comprehensions stay with their function
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
 
 def parsed():
@@ -87,3 +95,31 @@ def test_no_dead_local_bindings():
                       for var, line in bound.items()
                       if var != "_" and var not in read and var not in declared]
     assert found == []
+
+
+def _fenced(heading: str, lang: str) -> str:
+    """The first fenced block of `lang` under the README section `heading`."""
+    section = README.split(f"\n## {heading}\n", 1)[1]
+    return re.search(rf"```{lang}\n(.*?)```", section, re.S).group(1)
+
+
+def test_readme_library_example_runs():
+    # each print is followed by a comment that starts with what it prints
+    code = _fenced("Library example", "python")
+    expected = [line.split("#", 1)[1].split(",")[0].strip()
+                for line in code.splitlines() if line.startswith("print(")]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {})
+    assert out.getvalue().split() == expected
+
+
+def test_readme_command_lines_run(capsys):
+    # the command lines that need no input or config file
+    lines = [line for line in _fenced("Command line", "sh").splitlines()
+             if line.startswith("dpring ")
+             and "--input" not in line and "--config" not in line]
+    assert lines
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line
+        json.loads(capsys.readouterr().out)

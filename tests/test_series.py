@@ -4,9 +4,9 @@ import random
 import pytest
 
 from dpring.fields import PrimeField, RationalField
+from dpring.ore import OrePoly
 from dpring.series import (
     InnerDerivation,
-    MatSkewPoly,
     coefficient_identity,
     identity_matrix,
     invert_one_minus,
@@ -105,8 +105,8 @@ def test_derivation_is_leibniz():
 
 def test_skew_commutation():
     D = InnerDerivation(Q, e(2, 3))
-    X = MatSkewPoly.term(Q, D, identity_matrix(Q, 3), 1)
-    a = MatSkewPoly.term(Q, D, e(1, 2), 0)
+    X = OrePoly(D, {1: identity_matrix(Q, 3)})
+    a = OrePoly(D, {0: e(1, 2)})
     left = X * a
     # X a = a X + D(a)
     assert left.coeff(1) == e(1, 2)
@@ -120,11 +120,35 @@ def test_skew_mul_associative_random():
     for _ in range(10):
         u = random_strict_upper(rng, Q, 3)
         D = InnerDerivation(Q, u)
-        ps = [MatSkewPoly(Q, D, {rng.randint(0, 2): random_strict_upper(rng, Q, 3),
-                                 rng.randint(0, 2): random_strict_upper(rng, Q, 3)})
+        ps = [OrePoly(D, {rng.randint(0, 2): random_strict_upper(rng, Q, 3),
+                          rng.randint(0, 2): random_strict_upper(rng, Q, 3)})
               for _ in range(3)]
         a, b, c = ps
         assert (a * b) * c == a * (b * c)
+
+
+def test_skew_zero_coefficients_dropped():
+    D = InnerDerivation(Q, e(2, 3))
+    p = OrePoly(D, {1: zero_matrix(Q, 3), 2: e(1, 2)})
+    assert sorted(p.coeffs) == [2]
+    assert OrePoly(D, {1: zero_matrix(Q, 3)}).is_zero()
+    assert OrePoly(D, {1: zero_matrix(Q, 3)}) == OrePoly(D)
+
+
+def test_skew_mixed_rings_are_refused():
+    # same entries, but another field or another inner derivation
+    f5 = PrimeField(5)
+    D = InnerDerivation(Q, e(2, 3))
+    p = OrePoly(D, {1: e(1, 2)})
+    over_gf5 = OrePoly(InnerDerivation(f5, e(2, 3, field=f5)),
+                       {1: e(1, 2, field=f5)})
+    other_u = OrePoly(InnerDerivation(Q, e(1, 2)), {1: e(1, 2)})
+    assert p == OrePoly(InnerDerivation(Q, e(2, 3)), {1: e(1, 2)})
+    for q in (over_gf5, other_u):
+        assert p != q
+        for op in (lambda: p + q, lambda: p - q, lambda: p * q):
+            with pytest.raises(ValueError, match="mixed coefficient rings"):
+                op()
 
 
 # -- geometric inverses ---------------------------------------------------------------
@@ -146,8 +170,8 @@ def test_invert_one_minus_longer_series():
     inv = invert_one_minus(c, 3, D)
     assert sorted(inv.coeffs) == [0, 3, 6]
     assert inv.coeff(6) == e(1, 3)  # c^2
-    one = MatSkewPoly.one(Q, D)
-    g = MatSkewPoly.term(Q, D, c, 3)
+    one = OrePoly.one(D)
+    g = OrePoly(D, {3: c})
     assert (one - g) * inv == one
     assert inv * (one - g) == one
 
@@ -182,8 +206,8 @@ def test_inverse_random_fields():
             D = InnerDerivation(field, u)
             p = s_index(c, D) + 1
             inv = invert_one_minus(c, p, D)
-            one = MatSkewPoly.one(field, D)
-            g = MatSkewPoly.term(field, D, c, p)
+            one = OrePoly.one(D)
+            g = OrePoly(D, {p: c})
             assert (one - g) * inv == one
             done += 1
 
