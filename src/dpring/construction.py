@@ -28,6 +28,15 @@ positions, so the order is fixed: level, left length, deg u, l, core letter
 degree, then u, core and v, words in `words_iter` order and collision cores
 in `collision_elements` order.
 
+`words` membership needs no echelon of the family.  Its cores sit on the
+block-aligned windows of length N, so the quotient is (B/S)^(q) (x) A_s: one
+factor B/S per window, B the words of length N and S the span of the window
+cores, and a free remainder.  `SpanOracle` reduces a `words` query window by
+window against a tiny echelon of the window cores per degree, and finds the
+index of each row it subtracts from the same row blocks `span_rows` walks.
+The echelon of a whole `words` family is kept only as the deliberate
+cross-check (`SpanOracle.echelon`).
+
 A level is degenerate when its checkpoints are not strictly increasing
 (r^k >= b^(2k-1)).  Its checkpoints then mark no well-defined positions: two
 of them coincide, or c_{k+1} >= N(k) falls outside the word.  A degenerate
@@ -46,7 +55,7 @@ from math import comb
 
 from .budgets import BudgetExceeded, Budgets, DEFAULT_BUDGETS
 from .fields import RationalField
-from .freealg import FreePoly, derive_iter, word_stats
+from .freealg import FreePoly, derive_iter, word_key, word_stats
 from .membership import Echelon, MembershipCertificate
 
 __all__ = [
@@ -191,6 +200,17 @@ def count_words(length: int, degree: int) -> int:
     if length == 0:
         return 1 if degree == 0 else 0
     return comb(degree + length - 1, length - 1)
+
+
+def _word_rank(word: tuple) -> int:
+    """Position of the word in `words_iter(len(word), sum(word))`: the words
+    before it share a prefix with it and then carry a smaller letter."""
+    rank, rem, n = 0, sum(word), len(word)
+    for i, x in enumerate(word):
+        for t in range(x):
+            rank += count_words(n - i - 1, rem - t)
+        rem -= x
+    return rank
 
 
 # -- collision elements -------------------------------------------------------
@@ -345,12 +365,12 @@ def _collision_cores(params, k, budgets, cache, l, dz):
     return got
 
 
-def _block_rows(L, d, core_len, lefts, cores):
-    """Rows u * core * v of the component (L, d): u runs over the lengths in
-    lefts, each leaving room for the core, v fills up, and cores(l, dc) lists
-    the cores of derivative order l and letter degree dc; it is not asked
-    when no u or no v fits.  Order: left length, deg u, l, dc, then u, core
-    and v in their enumeration order."""
+def _row_blocks(L, d, core_len, lefts, cores):
+    """Blocks of the rows u * core * v of the component (L, d), in row order,
+    as (len_u, du, l, dc, len_v, dv, found): u runs over the lengths in
+    lefts, each leaving room for the core, v fills up, and found = cores(l,
+    dc) lists the cores of derivative order l and letter degree dc; it is not
+    asked when no u or no v fits.  Order: left length, deg u, l, dc."""
     for len_u in lefts:
         len_v = L - core_len - len_u
         for du in range(d + 1):
@@ -362,12 +382,33 @@ def _block_rows(L, d, core_len, lefts, cores):
                     if not count_words(len_v, dv):
                         continue
                     found = cores(l, dc)
-                    if not found:
-                        continue
-                    for u in words_iter(len_u, du):
-                        for core in found:
-                            for v in words_iter(len_v, dv):
-                                yield {u + cw + v: c for cw, c in core.items()}
+                    if found:
+                        yield len_u, du, l, dc, len_v, dv, found
+
+
+def _block_rows(L, d, core_len, lefts, cores):
+    """The rows of `_row_blocks`, each block's u, core and v in their
+    enumeration order."""
+    for len_u, du, _, _, len_v, dv, found in _row_blocks(L, d, core_len, lefts,
+                                                         cores):
+        for u in words_iter(len_u, du):
+            for core in found:
+                for v in words_iter(len_v, dv):
+                    yield {u + cw + v: c for cw, c in core.items()}
+
+
+def _level_family(params, space, k, L, budgets, cache):
+    """(core_len, lefts, cores) of the level-k rows of a space at length L,
+    the arguments of `_row_blocks` after the component."""
+    N = params.base ** (k * k) if space == "ideal" else params.block(k)
+    # cores start at multiples of N, except two-block ideal cores: anywhere
+    if space in ("collisions", "collisions_sum"):
+        core_len, stride = N - 1, N
+        cores = partial(_collision_cores, params, k, budgets, cache)
+    else:
+        core_len, stride = (N, N) if space == "words" else (2 * N, 1)
+        cores = partial(_alphabet_cores, params, k, core_len, cache)
+    return core_len, range(0, L - core_len + 1, stride), cores
 
 
 def _dispatch_rows(params, query, budgets, cache):
@@ -381,16 +422,16 @@ def _dispatch_rows(params, query, budgets, cache):
     else:
         levels = (query.level,)
     for k in levels:
-        N = params.base ** (k * k) if space == "ideal" else params.block(k)
-        # cores start at multiples of N, except two-block ideal cores: anywhere
-        if space in ("collisions", "collisions_sum"):
-            core_len, stride = N - 1, N
-            cores = partial(_collision_cores, params, k, budgets, cache)
-        else:
-            core_len, stride = (N, N) if space == "words" else (2 * N, 1)
-            cores = partial(_alphabet_cores, params, k, core_len, cache)
-        yield from _block_rows(L, d, core_len, range(0, L - core_len + 1, stride),
-                               cores)
+        yield from _block_rows(L, d, *_level_family(params, space, k, L, budgets,
+                                                    cache))
+
+
+def _family_too_large(query: SpanQuery, dim: int, budgets: Budgets):
+    return BudgetExceeded(
+        f"spanning family for {query} exceeds {budgets.max_basis_size} "
+        f"rows (component dimension {dim})",
+        component_dimension=dim,
+    )
 
 
 def span_rows(params: ConstructionParams, query: SpanQuery,
@@ -403,28 +444,196 @@ def span_rows(params: ConstructionParams, query: SpanQuery,
     for row in _dispatch_rows(params, query, budgets, cache):
         count += 1
         if count > budgets.max_basis_size:
-            raise BudgetExceeded(
-                f"spanning family for {query} exceeds {budgets.max_basis_size} "
-                f"rows (component dimension {dim})",
-                component_dimension=dim,
-            )
+            raise _family_too_large(query, dim, budgets)
         yield row
+
+
+# -- the words span, window by window ----------------------------------------
+
+
+class _WindowProjection:
+    """Membership in the level-k `words` span by projecting each window.
+
+    A row u * D^l(w) * v puts its core on a window [mN, mN + N).  With B the
+    words of length N and S_d the span of the window cores D^l(w) with
+    l + deg w = d, the span at length qN + s is the sum over the q windows of
+    B^(m) (x) S (x) B^(q-1-m) (x) A_s, so its quotient is (B/S)^(q) (x) A_s.
+    A tiny echelon of S_d per degree projects B onto its non-pivot words;
+    the projections act on different tensor factors, so one pass per window,
+    replacing every segment that is a pivot by its residue, gives the exact
+    normal form (the generic echelon's too: both are the projection onto the
+    words with no pivot segment along the span).
+    """
+
+    def __init__(self, params: ConstructionParams, k: int, budgets: Budgets,
+                 cache: dict):
+        self.params = params
+        self.k = k
+        self.budgets = budgets
+        self.cache = cache
+        self.N = params.block(k)
+        self._windows: dict[int, tuple[Echelon, list]] = {}
+        # window segment -> None when it is no pivot, else (residue items,
+        # ((l, core index), coefficient) of the cores making up seg - residue)
+        self._segments: dict[tuple, tuple | None] = {}
+        # query -> (window offsets, {(len_u, du, l, dc): (first row index,
+        # cores in the block, words v)})
+        self._layouts: dict = {}
+
+    def _window(self, d: int) -> tuple[Echelon, list]:
+        """Echelon of S_d and the (l, core index) each of its rows came from."""
+        got = self._windows.get(d)
+        if got is None:
+            origin, rows = [], []
+            for l in range(d + 1):
+                found = _alphabet_cores(self.params, self.k, self.N, self.cache,
+                                        l, d - l)
+                origin.extend((l, i) for i in range(len(found)))
+                rows.extend(found)
+            ech = Echelon(self.params.field)
+            ech.extend(rows)
+            got = self._windows[d] = (ech, origin)
+        return got
+
+    def _segment(self, seg: tuple):
+        ech, origin = self._window(sum(seg))
+        found = None
+        if seg in ech.rows:
+            field = self.params.field
+            residue, _ = ech.reduce({seg: field.one})
+            core_part = {w: field.neg(c) for w, c in residue.items()}
+            core_part[seg] = field.one
+            combination = ech.certificate(core_part).combination
+            found = (tuple(residue.items()),
+                     [(origin[j], c) for j, c in combination])
+        self._segments[seg] = found
+        return found
+
+    def _layout(self, query: SpanQuery):
+        """Window offsets and row-block starts of the query's family, the
+        family refused over the basis budget like `span_rows` refuses it."""
+        got = self._layouts.get(query)
+        if got is None:
+            L, d = query.length, query.degree
+            dim = _component_dim(L, d, self.budgets)
+            core_len, lefts, cores = _level_family(self.params, "words", self.k, L,
+                                                   self.budgets, self.cache)
+            starts, total = {}, 0
+            for len_u, du, l, dc, len_v, dv, found in _row_blocks(
+                    L, d, core_len, lefts, cores):
+                n_v = count_words(len_v, dv)
+                starts[len_u, du, l, dc] = (total, len(found), n_v)
+                total += count_words(len_u, du) * len(found) * n_v
+            if total > self.budgets.max_basis_size:
+                raise _family_too_large(query, dim, self.budgets)
+            got = self._layouts[query] = (lefts, starts)
+        return got
+
+    def reduce(self, vec: dict, query: SpanQuery) -> tuple[dict, list]:
+        """Normal form of vec, and the words whose window segment was
+        replaced, as (window offset, word, coefficient) in order."""
+        lefts, _ = self._layout(query)
+        N = self.N
+        fadd, fmul = self.params.field.add, self.params.field.mul
+        segments = self._segments
+        replaced = []
+        vec = dict(vec)  # a fresh residue even when no window fits
+        for m in lefts:
+            out: dict = {}
+            hits = []
+            for x, c in vec.items():
+                seg = x[m:m + N]
+                found = segments[seg] if seg in segments else self._segment(seg)
+                if found is None:
+                    out[x] = c
+                else:
+                    hits.append((x, c, found[0]))
+            for x, c, residue in hits:
+                replaced.append((m, x, c))
+                u, v = x[:m], x[m + N:]
+                for t, r in residue:
+                    w = u + t + v
+                    cw = fmul(c, r)
+                    cur = out.get(w)
+                    if cur is None:
+                        out[w] = cw
+                    else:
+                        nv = fadd(cur, cw)
+                        if nv:
+                            out[w] = nv
+                        else:
+                            del out[w]
+            vec = out
+        return vec, replaced
+
+    def certificate(self, vec: dict, query: SpanQuery) -> MembershipCertificate:
+        """Certificate for vec from one projection.
+
+        A member gets the rows u * core * v that the replacements subtracted,
+        indexed through the row blocks of `_layout`.  A non-member gets
+        e_z o P / r[z], z the smallest word of the residue r and P the
+        projection: the product over the windows of each window echelon's
+        functional for the segment of z, times the indicator of z's
+        remainder.
+        """
+        residue, replaced = self.reduce(vec, query)
+        lefts, starts = self._layout(query)
+        field, N = self.params.field, self.N
+        fadd, fmul = field.add, field.mul
+        if residue:
+            z = min(residue, key=word_key)
+            functional = {(): field.inv(residue[z])}
+            for m in lefts:
+                seg = z[m:m + N]
+                ech, _ = self._window(sum(seg))
+                phi = ech.certificate({seg: field.one}).functional
+                functional = {p + w: fmul(c, f) for p, c in functional.items()
+                              for w, f in phi.items()}
+            rest = z[len(lefts) * N:]
+            return MembershipCertificate(
+                "non_member",
+                functional={p + rest: c for p, c in functional.items()})
+        combo: dict[int, object] = {}
+        for m, x, c in replaced:
+            u, seg, v = x[:m], x[m:m + N], x[m + N:]
+            du, dseg = sum(u), sum(seg)
+            rank_u, rank_v = _word_rank(u), _word_rank(v)
+            for (l, i), a in self._segments[seg][1]:
+                start, n_cores, n_v = starts[m, du, l, dseg - l]
+                idx = start + (rank_u * n_cores + i) * n_v + rank_v
+                cur = combo.get(idx)
+                cv = fmul(c, a)
+                combo[idx] = cv if cur is None else fadd(cur, cv)
+        return MembershipCertificate(
+            "member", combination=sorted((i, c) for i, c in combo.items() if c))
 
 
 # -- membership oracle --------------------------------------------------------
 
 
 class SpanOracle:
-    """Caches one echelon per span query and answers membership with
-    re-verifiable certificates."""
+    """Answers membership with re-verifiable certificates: `words` queries by
+    the per-window projection, every other space by one cached echelon per
+    query."""
 
     def __init__(self, params: ConstructionParams, budgets: Budgets = DEFAULT_BUDGETS):
         self.params = params
         self.budgets = budgets
         self._echelons: dict[SpanQuery, Echelon] = {}
         self._cores: dict = {}
+        self._projections: dict[int, _WindowProjection] = {}
+
+    def _projection(self, k: int) -> _WindowProjection:
+        got = self._projections.get(k)
+        if got is None:
+            got = self._projections[k] = _WindowProjection(
+                self.params, k, self.budgets, self._cores)
+        return got
 
     def echelon(self, query: SpanQuery) -> Echelon:
+        """The generic echelon of the query's family.  `words` queries are
+        answered without it; for them it is the deliberate cross-check that
+        tests and `component_stats` reach."""
         ech = self._echelons.get(query)
         if ech is None:
             ech = Echelon(self.params.field)
@@ -447,12 +656,17 @@ class SpanOracle:
     def member(self, a: FreePoly, query: SpanQuery) -> MembershipCertificate:
         if self._check_query_input(a, query):
             return MembershipCertificate("member", combination=[])
+        if query.space == "words":
+            return self._projection(query.level).certificate(a.terms, query)
         return self.echelon(query).certificate(a.terms)
 
     def normal_form(self, a: FreePoly, query: SpanQuery) -> FreePoly:
         if self._check_query_input(a, query):
             return FreePoly.zero(self.params.field)
-        residue, _ = self.echelon(query).reduce(a.terms)
+        if query.space == "words":
+            residue, _ = self._projection(query.level).reduce(a.terms, query)
+        else:
+            residue, _ = self.echelon(query).reduce(a.terms)
         return FreePoly(self.params.field, residue)
 
     def verify(self, a: FreePoly, query: SpanQuery,

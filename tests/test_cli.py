@@ -197,6 +197,16 @@ def test_member_space_letters(capsys, tmp_path):
     assert doc["kind"] == "member" and doc["level"] is None
 
 
+def test_member_words_non_member(capsys, tmp_path):
+    # each window segment x1.x0^9 is no pivot of its window span
+    stray = write(tmp_path, "w.txt", "1*" + ".".join((["x1"] + ["x0"] * 9) * 2))
+    code, out, _ = run(capsys, ["member", "--input", stray, "--space", "W",
+                                "--k", "1", "--length", "20", "--degree", "2"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["kind"] == "non_member" and doc["verified"] is True
+
+
 def test_member_requires_level_for_lettered_spaces(capsys, tmp_path):
     poly = write(tmp_path, "p.txt", "1*x0")
     code, out, _ = run(capsys, ["member", "--input", poly, "--space", "W",

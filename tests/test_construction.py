@@ -1,8 +1,9 @@
 """Checkpoint parameters, collision families, span oracles, signed reorder."""
 import hashlib
+import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dpring.budgets import BudgetExceeded, Budgets
@@ -20,8 +21,10 @@ from dpring.construction import (
     span_rows,
     words_iter,
 )
+from dpring.construction import _word_rank
 from dpring.fields import PrimeField, RationalField
 from dpring.freealg import FreePoly, derive, poly_to_text, word_stats
+from dpring.membership import MembershipCertificate
 
 Q = RationalField()
 P10 = ConstructionParams(10, 3, 1, Q)
@@ -224,6 +227,9 @@ def test_span_rows_budgets():
                        Budgets(max_component_dim=5)))
     with pytest.raises(BudgetExceeded):
         list(span_rows(P10, SpanQuery("words", 20, 1, level=1),
+                       Budgets(max_component_dim=5)))
+    with pytest.raises(BudgetExceeded):
+        list(span_rows(P10, SpanQuery("words", 20, 1, level=1),
                        Budgets(max_basis_size=10)))
 
 
@@ -345,6 +351,107 @@ def test_words_space_contains_block_products():
     cert = oracle.member(candidate, q)
     assert cert.kind == "member"
     assert oracle.verify(candidate, q, cert)
+
+
+# -- the words span, window by window ------------------------------------------------
+
+
+def test_word_rank_inverts_words_iter():
+    for length in range(6):
+        for degree in range(5):
+            for i, w in enumerate(words_iter(length, degree)):
+                assert _word_rank(w) == i
+
+
+WORDS_FIELDS = (Q, PrimeField(2), PrimeField(3), PrimeField(7))
+
+
+@st.composite
+def small_words_queries(draw):
+    base = draw(st.integers(2, 4))
+    k = draw(st.integers(1, 2)) if base == 2 else 1
+    N = base ** (k * k)
+    length = draw(st.sampled_from((1, 2, 3, 0))) * N + draw(st.integers(0, N - 1))
+    degree = draw(st.integers(0, 3))
+    assume(1 <= length <= 36 and count_words(length, degree) <= 600)
+    params = ConstructionParams(base, draw(st.integers(2, 3)), k,
+                                draw(st.sampled_from(WORDS_FIELDS)))
+    return params, SpanQuery("words", length, degree, level=k)
+
+
+def random_query_vector(rng, field, words, rows):
+    """A random combination of up to three rows, or of up to three words."""
+    if rows and rng.random() < 0.5:
+        picks = rng.sample(rows, min(3, len(rows)))
+    else:
+        picks = [{w: field.one} for w in rng.sample(words, min(3, len(words)))]
+    acc = FreePoly.zero(field)
+    for vec in picks:
+        acc = acc + FreePoly(field, dict(vec)).scale(field.from_int(rng.randint(1, 4)))
+    return acc
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=small_words_queries(), seed=st.integers(0, 2**16))
+def test_window_projection_matches_the_echelon(case, seed):
+    params, q = case
+    field = params.field
+    oracle = SpanOracle(params)
+    # the generic echelon of the whole family: the deliberate cross-check of
+    # the per-window projection that answers `words` queries
+    ech = oracle.echelon(q)
+    words = list(words_iter(q.length, q.degree))
+    # the quotient has a basis of the words the projection leaves alone
+    fixed = sum(oracle.normal_form(FreePoly.monomial(field, w), q).terms
+                == {w: field.one} for w in words)
+    assert fixed == len(words) - len(ech)
+    rng = random.Random(seed)
+    rows = list(span_rows(params, q))
+    for _ in range(6):
+        a = random_query_vector(rng, field, words, rows)
+        if a.is_zero():
+            continue
+        residue, _ = ech.reduce(a.terms)
+        cert = oracle.member(a, q)
+        assert (cert.kind == "member") == (not residue)
+        assert oracle.normal_form(a, q).terms == residue
+        assert oracle.verify(a, q, cert)
+
+
+def test_words_certificates_do_not_survive_tampering():
+    oracle = SpanOracle(P10)
+    q = SpanQuery("words", 20, 2, level=1)
+    rows = list(span_rows(P10, q))
+    a = FreePoly(Q, dict(rows[5])) + FreePoly(Q, dict(rows[-1])).scale(2)
+    cert = oracle.member(a, q)
+    assert cert.kind == "member" and oracle.verify(a, q, cert)
+    for pos, (idx, c) in enumerate(cert.combination):
+        for changed in ((idx + 1, c), (idx, c + 1)):
+            combination = list(cert.combination)
+            combination[pos] = changed
+            forged = MembershipCertificate("member", combination=combination)
+            assert not oracle.verify(a, q, forged), (pos, changed)
+    stray = FreePoly.monomial(Q, (1,) + (0,) * 9 + (1,) + (0,) * 9)
+    cert = oracle.member(stray, q)
+    assert cert.kind == "non_member" and oracle.verify(stray, q, cert)
+    assert len(cert.functional) == 4  # two support words in each window
+    for w, c in cert.functional.items():
+        forged = MembershipCertificate("non_member",
+                                       functional={**cert.functional, w: c + 1})
+        assert not oracle.verify(stray, q, forged), w
+
+
+def test_words_budgets_refuse_like_span_rows():
+    q = SpanQuery("words", 20, 1, level=1)
+    probe = FreePoly.monomial(Q, (0,) * 19 + (1,))
+    for budgets in (Budgets(max_component_dim=5), Budgets(max_basis_size=21)):
+        with pytest.raises(BudgetExceeded) as from_rows:
+            list(span_rows(P10, q, budgets))
+        for ask in (SpanOracle.member, SpanOracle.normal_form):
+            with pytest.raises(BudgetExceeded) as from_oracle:
+                ask(SpanOracle(P10, budgets), probe, q)
+            assert str(from_oracle.value) == str(from_rows.value)
+            assert from_oracle.value.details == from_rows.value.details
 
 
 # Echelon states pinned by rank and by sha256 of the sorted rows and history,
