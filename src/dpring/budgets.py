@@ -23,8 +23,9 @@ class Budgets:
     max_basis_size: largest spanning-set size a span query may enumerate
         (rows are counted as they are enumerated; the row past the cap
         raises, so it also bounds the rank of any echelon built from them).
-        A `words` query, which enumerates no family, counts it in closed
-        form and refuses it with the same message.
+        A `words` query, and a `collisions` verdict or normal form, which
+        enumerate no family, count it in closed form and refuse it with the
+        same message.
     """
 
     max_expand_m: int = 16

@@ -37,6 +37,16 @@ index of each row it subtracts from the same row blocks `span_rows` walks.
 The echelon of a whole `words` family is kept only as the deliberate
 cross-check (`SpanOracle.echelon`).
 
+`collisions` verdicts, normal forms and non-member certificates need none
+either.  Each row repeats a slot letter, or swaps two distinct ones, inside
+one window [mN, mN + N - 1), so the quotient has a closed form: a word that
+repeats a slot letter in any window is zero, and any other word is the word
+with each window's slot letters sorted descending, times the sign of the
+sort.  A non-member functional is the signed indicator of one such class,
+and `SpanOracle.verify` checks it against the rows that meet its support,
+built from the slots alone.  Member combinations still come from the
+echelon of the family, whose row indices the reports pin.
+
 A level is degenerate when its checkpoints are not strictly increasing
 (r^k >= b^(2k-1)).  Its checkpoints then mark no well-defined positions: two
 of them coincide, or c_{k+1} >= N(k) falls outside the word.  A degenerate
@@ -51,7 +61,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import partial
-from math import comb
+from math import comb, factorial
+from operator import itemgetter
 
 from .budgets import BudgetExceeded, Budgets, DEFAULT_BUDGETS
 from .fields import RationalField
@@ -608,12 +619,195 @@ class _WindowProjection:
             "member", combination=sorted((i, c) for i, c in combo.items() if c))
 
 
+# -- the collisions span in closed form ---------------------------------------
+
+
+def _sort_sign(letters) -> int:
+    """Sign of the permutation that sorts distinct letters into ascending
+    order: +1 for an even number of inversions, -1 for an odd one."""
+    inv = 0
+    for i in range(len(letters)):
+        for j in range(i + 1, len(letters)):
+            if letters[i] > letters[j]:
+                inv += 1
+    return -1 if inv % 2 else 1
+
+
+def _partitions(n: int, parts: int) -> int:
+    """Partitions of n into at most `parts` parts (parts of size at most
+    `parts`, by conjugation)."""
+    if n < 0:
+        return 0
+    ways = [1] + [0] * n
+    for part in range(1, parts + 1):
+        for s in range(part, n + 1):
+            ways[s] += ways[s - part]
+    return ways[n]
+
+
+def _collision_count(params: ConstructionParams, k: int, degree: int) -> int:
+    """len(list(collision_elements(params, k, degree))), counted from its
+    loops without enumerating an element: the repeat words are the words
+    minus those with distinct slot letters, and every slot pair has the same
+    number of swaps."""
+    slots = params.slots(k)
+    if not slots or degree < 0:
+        return 0
+    n, length = len(slots), params.block(k) - 1
+    # n distinct letters summing to t, less 0..n-1, are a partition of
+    # t - n(n-1)/2 into at most n parts; each set fills the slots n! ways
+    distinct = sum(factorial(n) * _partitions(t - n * (n - 1) // 2, n)
+                   * count_words(length - n, degree - t)
+                   for t in range(degree + 1))
+    swaps = sum(count_words(length - 2, degree - hi - lo)
+                for hi in range(1, degree + 1)
+                for lo in range(min(hi - 1, degree - hi) + 1))
+    return count_words(length, degree) - distinct + comb(n, 2) * swaps
+
+
+class _CollisionQuotient:
+    """The quotient by the level-k `collisions` span at length L, in closed
+    form.
+
+    Every row puts a repeat or a swap of slot letters on one window
+    [mN, mN + N - 1), so a word repeating a slot letter in any window is
+    zero, and any other word is its window-sorted representative times the
+    sign of the sort.  Sorting each window descending gives the largest word
+    of the class under `word_key`, the one word of the class that is no
+    pivot of the generic echelon, so the normal form is that echelon's
+    residue exactly.
+    """
+
+    def __init__(self, params: ConstructionParams, k: int, L: int,
+                 budgets: Budgets):
+        self.params = params
+        self.k = k
+        self.budgets = budgets
+        self.core_len, self.lefts, _ = _level_family(params, "collisions", k, L,
+                                                     budgets, None)
+        self.n = len(params.slots(k))
+        self.positions = tuple(m + s for m in self.lefts for s in params.slots(k))
+        # a window has k + 1 >= 2 slots, so the getter returns a tuple
+        self.letters = (itemgetter(*self.positions) if self.positions
+                        else lambda word: ())
+        # slot letters -> None when a window repeats one, else (sign,
+        # letters with each window sorted descending)
+        self._sorted: dict[tuple, tuple | None] = {}
+        self._checked: set[int] = set()
+
+    def _check(self, query: SpanQuery):
+        """Refuse the component and the family like `span_rows` does."""
+        d = query.degree
+        if d in self._checked:
+            return
+        dim = _component_dim(query.length, d, self.budgets)
+        total = sum(
+            count_words(len_u, du) * n_cores * count_words(len_v, dv)
+            for len_u, du, _, _, len_v, dv, n_cores in _row_blocks(
+                query.length, d, self.core_len, self.lefts,
+                lambda l, dc: 0 if l else _collision_count(self.params, self.k, dc)))
+        if total > self.budgets.max_basis_size:
+            raise _family_too_large(query, dim, self.budgets)
+        self._checked.add(d)
+
+    def _windows(self, letters: tuple) -> list[tuple]:
+        """The slot letters split by window (none without slots)."""
+        n = self.n
+        return [letters[i:i + n] for i in range(0, len(letters), n)] if n else []
+
+    def _sort(self, letters: tuple):
+        """Memoise and return the entry of `_sorted` for the letters."""
+        n, sign, out = self.n, 1, []
+        for window in self._windows(letters):
+            if len(set(window)) < n:
+                self._sorted[letters] = None
+                return None
+            # reversed, the descending sort is an ascending one
+            sign *= _sort_sign(window[::-1])
+            out.extend(sorted(window, reverse=True))
+        got = self._sorted[letters] = (sign, tuple(out))
+        return got
+
+    def reduce(self, vec: dict, query: SpanQuery) -> dict:
+        """Normal form of vec: every word replaced by its sorted
+        representative, signed, or dropped."""
+        self._check(query)
+        fadd, fneg = self.params.field.add, self.params.field.neg
+        get, positions, memo = self.letters, self.positions, self._sorted
+        out: dict = {}
+        for x, c in vec.items():
+            letters = get(x)
+            got = memo[letters] if letters in memo else self._sort(letters)
+            if got is None:
+                continue
+            sign, new = got
+            if new != letters:
+                w = list(x)
+                for p, t in zip(positions, new):
+                    w[p] = t
+                x = tuple(w)
+            if sign < 0:
+                c = fneg(c)
+            cur = out.get(x)
+            if cur is None:
+                out[x] = c
+            else:
+                nv = fadd(cur, c)
+                if nv:
+                    out[x] = nv
+                else:
+                    del out[x]
+        return out
+
+    def functional(self, z: tuple, scale) -> dict:
+        """scale times the signed indicator of the class of the sorted word
+        z, in descending word order: each word permuting z's slot letters
+        inside their windows, signed by the permutation."""
+        positions, neg = self.positions, self.params.field.neg(scale)
+        windows = map(itertools.permutations, self._windows(self.letters(z)))
+        out = {}
+        # permutations of a descending window come out in descending order
+        for combo in itertools.product(*windows):
+            letters = sum(combo, ())
+            w = list(z)
+            for p, t in zip(positions, letters):
+                w[p] = t
+            out[tuple(w)] = scale if self._sort(letters)[0] > 0 else neg
+        return out
+
+
+def _collision_rows_meeting(params: ConstructionParams, query: SpanQuery,
+                            support):
+    """Every row of the `collisions` family of the query that meets the given
+    words, built from the slots alone: for each support word s of the
+    component, window and slot pair, the repeat row {s} when s has equal
+    letters there, else the swap row {s, s'}, s' being s with the two letters
+    exchanged.  Rows may repeat; a row that meets no support word is
+    missing, and a functional on the support vanishes on it anyway."""
+    k, L, d = query.level, query.length, query.degree
+    slots, N, one = params.slots(k), params.block(k), params.field.one
+    for s in support:
+        if len(s) != L or sum(s) != d:
+            continue
+        for m in range(0, L - N + 2, N):
+            for a, b in itertools.combinations(slots, 2):
+                i, j = m + a, m + b
+                if s[i] == s[j]:
+                    yield {s: one}
+                else:
+                    t = list(s)
+                    t[i], t[j] = s[j], s[i]
+                    yield {s: one, tuple(t): one}
+
+
 # -- membership oracle --------------------------------------------------------
 
 
 class SpanOracle:
     """Answers membership with re-verifiable certificates: `words` queries by
-    the per-window projection, every other space by one cached echelon per
+    the per-window projection, `collisions` verdicts, normal forms and
+    non-member certificates by the closed-form quotient, and every other
+    space, and `collisions` member combinations, by one cached echelon per
     query."""
 
     def __init__(self, params: ConstructionParams, budgets: Budgets = DEFAULT_BUDGETS):
@@ -622,6 +816,7 @@ class SpanOracle:
         self._echelons: dict[SpanQuery, Echelon] = {}
         self._cores: dict = {}
         self._projections: dict[int, _WindowProjection] = {}
+        self._quotients: dict[tuple[int, int], _CollisionQuotient] = {}
 
     def _projection(self, k: int) -> _WindowProjection:
         got = self._projections.get(k)
@@ -630,9 +825,18 @@ class SpanOracle:
                 self.params, k, self.budgets, self._cores)
         return got
 
+    def _quotient(self, query: SpanQuery) -> _CollisionQuotient:
+        key = (query.level, query.length)
+        got = self._quotients.get(key)
+        if got is None:
+            got = self._quotients[key] = _CollisionQuotient(
+                self.params, query.level, query.length, self.budgets)
+        return got
+
     def echelon(self, query: SpanQuery) -> Echelon:
         """The generic echelon of the query's family.  `words` queries are
-        answered without it; for them it is the deliberate cross-check that
+        answered without it, and so are `collisions` queries except for
+        member combinations; for them it is the deliberate cross-check that
         tests and `component_stats` reach."""
         ech = self._echelons.get(query)
         if ech is None:
@@ -646,11 +850,13 @@ class SpanOracle:
             raise ValueError("query polynomial is over the wrong field")
         if a.is_zero():
             return True
-        if a.bigrade() != (query.length, query.degree):
-            raise ValueError(
-                f"query polynomial is not homogeneous of component "
-                f"({query.length}, {query.degree}): bigrade {a.bigrade()}"
-            )
+        L, d = query.length, query.degree
+        for w in a.terms:
+            if len(w) != L or sum(w) != d:
+                raise ValueError(
+                    f"query polynomial is not homogeneous of component "
+                    f"({L}, {d}): bigrade {a.bigrade()}"
+                )
         return False
 
     def member(self, a: FreePoly, query: SpanQuery) -> MembershipCertificate:
@@ -658,6 +864,14 @@ class SpanOracle:
             return MembershipCertificate("member", combination=[])
         if query.space == "words":
             return self._projection(query.level).certificate(a.terms, query)
+        if query.space == "collisions":
+            quotient = self._quotient(query)
+            residue = quotient.reduce(a.terms, query)
+            if residue:
+                z = min(residue, key=word_key)
+                scale = self.params.field.inv(residue[z])
+                return MembershipCertificate(
+                    "non_member", functional=quotient.functional(z, scale))
         return self.echelon(query).certificate(a.terms)
 
     def normal_form(self, a: FreePoly, query: SpanQuery) -> FreePoly:
@@ -665,15 +879,22 @@ class SpanOracle:
             return FreePoly.zero(self.params.field)
         if query.space == "words":
             residue, _ = self._projection(query.level).reduce(a.terms, query)
+        elif query.space == "collisions":
+            residue = self._quotient(query).reduce(a.terms, query)
         else:
             residue, _ = self.echelon(query).reduce(a.terms)
         return FreePoly(self.params.field, residue)
 
     def verify(self, a: FreePoly, query: SpanQuery,
                cert: MembershipCertificate) -> bool:
-        """Re-check a certificate against the regenerated spanning family."""
-        return cert.verify(self.params.field, a.terms,
-                           span_rows(self.params, query, self.budgets, self._cores))
+        """Re-check a certificate against the regenerated spanning family,
+        or, for a `collisions` functional, against the rows that meet its
+        support, built from the slots alone."""
+        if query.space == "collisions" and cert.kind == "non_member":
+            rows = _collision_rows_meeting(self.params, query, cert.functional)
+        else:
+            rows = span_rows(self.params, query, self.budgets, self._cores)
+        return cert.verify(self.params.field, a.terms, rows)
 
     def component_stats(self, query: SpanQuery) -> dict:
         ech = self.echelon(query)
@@ -685,16 +906,6 @@ class SpanOracle:
 
 
 # -- signed checkpoint reorder -------------------------------------------------
-
-
-def _parity(seq: list[int]) -> int:
-    """Inversion parity of a permutation of 0..n-1: +1 even, -1 odd."""
-    inv = 0
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                inv += 1
-    return -1 if inv % 2 else 1
 
 
 def signed_reorder_word(params: ConstructionParams, k: int, word: tuple):
@@ -714,8 +925,7 @@ def signed_reorder_word(params: ConstructionParams, k: int, word: tuple):
     letters = [word[i] for i in slots]
     if sorted(letters) != targets:
         return None
-    where = {t: i for i, t in enumerate(targets)}
-    sign = _parity([where[l] for l in letters])
+    sign = _sort_sign(letters)  # the targets ascend
     out = list(word)
     for i, t in zip(slots, targets):
         out[i] = t

@@ -1,9 +1,10 @@
 """Checkpoint parameters, collision families, span oracles, signed reorder."""
 import hashlib
+import itertools
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dpring.budgets import BudgetExceeded, Budgets
@@ -21,10 +22,11 @@ from dpring.construction import (
     span_rows,
     words_iter,
 )
-from dpring.construction import _word_rank
+from dpring.construction import _collision_count, _word_rank
 from dpring.fields import PrimeField, RationalField
 from dpring.freealg import FreePoly, derive, poly_to_text, word_stats
 from dpring.membership import MembershipCertificate
+from dpring.ore import expand_power_window
 
 Q = RationalField()
 P10 = ConstructionParams(10, 3, 1, Q)
@@ -452,6 +454,153 @@ def test_words_budgets_refuse_like_span_rows():
                 ask(SpanOracle(P10, budgets), probe, q)
             assert str(from_oracle.value) == str(from_rows.value)
             assert from_oracle.value.details == from_rows.value.details
+
+
+# -- the collisions span in closed form -----------------------------------------------
+
+
+@pytest.mark.parametrize("params, k, degrees", [
+    (P10, 1, range(5)),
+    (P222, 1, range(5)),   # degenerate level: no elements
+    (P222, 2, range(4)),
+    (ConstructionParams(3, 2, 2, Q), 2, range(3)),
+    (ConstructionParams(4, 3, 1, Q), 1, range(4)),
+])
+def test_collision_count_matches_the_elements(params, k, degrees):
+    for degree in degrees:
+        assert _collision_count(params, k, degree) == len(
+            list(collision_elements(params, k, degree))), degree
+
+
+def test_collisions_budgets_refuse_like_span_rows():
+    q = SpanQuery("collisions", 20, 2, level=1)
+    family = sum(1 for _ in span_rows(P10, q))
+    probes = (FreePoly.monomial(Q, (2,) + (0,) * 19),        # a member
+              FreePoly.monomial(Q, (1,) + (0,) * 9 + (1,) + (0,) * 9))
+    for budgets in (Budgets(max_component_dim=5),
+                    Budgets(max_basis_size=family - 1)):
+        with pytest.raises(BudgetExceeded) as from_rows:
+            list(span_rows(P10, q, budgets))
+        for probe in probes:
+            for ask in (SpanOracle.member, SpanOracle.normal_form):
+                with pytest.raises(BudgetExceeded) as from_oracle:
+                    ask(SpanOracle(P10, budgets), probe, q)
+                assert str(from_oracle.value) == str(from_rows.value)
+                assert from_oracle.value.details == from_rows.value.details
+    # the count is exact: a budget of the family size itself passes
+    oracle = SpanOracle(P10, Budgets(max_basis_size=family))
+    assert oracle.member(probes[1], q).kind == "non_member"
+
+
+@st.composite
+def small_collisions_queries(draw):
+    base = draw(st.integers(2, 4))
+    k = draw(st.integers(1, 2)) if base == 2 else 1
+    N = base ** (k * k)
+    length = draw(st.sampled_from((1, 2, 3, 0))) * N + draw(st.integers(0, N - 1))
+    degree = draw(st.integers(0, 3))
+    assume(1 <= length <= 36 and count_words(length, degree) <= 600)
+    params = ConstructionParams(base, draw(st.integers(2, 3)), k,
+                                draw(st.sampled_from(WORDS_FIELDS)))
+    return params, SpanQuery("collisions", length, degree, level=k)
+
+
+def tampered_functionals(rng, field, functional, words, slots):
+    """Forgeries of a functional: one entry raised by one, one entry
+    dropped, one off-support word given an entry, and an off-support word
+    and its swap partner across the first slot pair given opposite
+    entries."""
+    w = rng.choice(list(functional))
+    yield {**functional, w: field.add(functional[w], field.one)}
+    yield {x: c for x, c in functional.items() if x != w}
+    outside = [x for x in words if x not in functional]
+    if outside:
+        t = rng.choice(outside)
+        yield {**functional, t: field.one}
+        for i, j in itertools.combinations(slots, 2):
+            if t[i] != t[j]:
+                partner = list(t)
+                partner[i], partner[j] = t[j], t[i]
+                partner = tuple(partner)
+                if partner not in functional:
+                    yield {**functional, t: field.one,
+                           partner: field.neg(field.one)}
+                break
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=small_collisions_queries(), seed=st.integers(0, 2**16))
+@example(case=(ConstructionParams(2, 2, 1, Q), SpanQuery("collisions", 7, 2, level=1)),
+         seed=0)  # degenerate level, empty family
+@example(case=(ConstructionParams(3, 2, 1, PrimeField(3)),
+               SpanQuery("collisions", 26, 2, level=1)), seed=1)  # three windows
+@example(case=(P222, SpanQuery("collisions", 31, 2, level=2)), seed=2)
+def test_collision_quotient_matches_the_echelon(case, seed):
+    params, q = case
+    field = params.field
+    oracle = SpanOracle(params)
+    # the generic echelon of the whole family: the deliberate cross-check of
+    # the closed-form quotient that answers `collisions` verdicts, normal
+    # forms and non-member certificates
+    ech = oracle.echelon(q)
+    words = list(words_iter(q.length, q.degree))
+    classes = 0
+    for w in words:
+        nf = oracle.normal_form(FreePoly.monomial(field, w), q).terms
+        assert nf == ech.reduce({w: field.one})[0]
+        classes += nf == {w: field.one}  # sorted and repeat-free
+    assert classes == len(words) - len(ech)
+    rng = random.Random(seed)
+    rows = list(span_rows(params, q))
+    # the slots of the first window, when one fits
+    slots = params.slots(q.level) if q.length >= params.block(q.level) - 1 else ()
+    forged_checks = []
+    for _ in range(6):
+        a = random_query_vector(rng, field, words, rows)
+        if a.is_zero():
+            continue
+        cert = oracle.member(a, q)
+        expected = ech.certificate(a.terms)
+        assert cert.kind == expected.kind
+        assert oracle.normal_form(a, q).terms == ech.reduce(a.terms)[0]
+        assert oracle.verify(a, q, cert)
+        if cert.kind == "member":
+            continue
+        assert cert.functional == expected.functional
+        for forged in [cert.functional, *tampered_functionals(
+                rng, field, cert.functional, words, slots)]:
+            forgery = MembershipCertificate("non_member", functional=forged)
+            local = oracle.verify(a, q, forgery)
+            assert local == forgery.verify(field, a.terms, span_rows(params, q))
+            forged_checks.append((a, forgery, local))
+    # the support-local rows come from the slots alone: a poisoned core cache
+    # changes nothing
+    for key in list(oracle._cores):
+        oracle._cores[key] = []
+    for a, forgery, local in forged_checks:
+        assert oracle.verify(a, q, forgery) == local
+
+
+def test_level_two_escape_needs_no_collisions_echelon():
+    # the (3,2,2) escape: a_77 of (x0 X)^80 lies outside the level-2
+    # collision span at (80, 3); its functional is the signed indicator of
+    # the one sorted class, six words of value +-1/63
+    params = ConstructionParams(3, 2, 2, Q)
+    a = expand_power_window(Q, 80, 77)[77]
+    oracle = SpanOracle(params)
+    q = SpanQuery("collisions", 80, 3, level=2)
+    cert = oracle.member(a, q)
+    assert cert.kind == "non_member"
+    sixty_third = Q.inv(Q.from_int(63))
+    assert sorted(cert.functional.values()) == [Q.neg(sixty_third)] * 3 + [
+        sixty_third] * 3
+    assert oracle.verify(a, q, cert)
+    assert not oracle._echelons
+    # forgeries fail on the support-local rows too
+    for w, c in cert.functional.items():
+        forged = {**cert.functional, w: Q.add(c, Q.one)}
+        assert not oracle.verify(a, q, MembershipCertificate("non_member",
+                                                             functional=forged))
 
 
 # Echelon states pinned by rank and by sha256 of the sorted rows and history,
