@@ -20,12 +20,10 @@ class Budgets:
     max_expand_m: largest exponent accepted by the full power expansion.
     max_component_dim: largest bi-graded component dimension a span query
         may touch.
-    max_basis_size: largest spanning-set size a span query may enumerate
-        (rows are counted as they are enumerated; the row past the cap
-        raises, so it also bounds the rank of any echelon built from them).
-        A `words` query, and a `collisions` verdict or normal form, which
-        enumerate no family, count it in closed form and refuse it with the
-        same message.
+    max_basis_size: largest spanning-set size a span query may touch.  The
+        family of every space is counted in closed form and refused before
+        its first row is built, whether or not the query enumerates it; the
+        cap also bounds the rank of any echelon built from the rows.
     """
 
     max_expand_m: int = 16

@@ -28,6 +28,15 @@ positions, so the order is fixed: level, left length, deg u, l, core letter
 degree, then u, core and v, words in `words_iter` order and collision cores
 in `collision_elements` order.
 
+One layout (`_layout`) walks these row blocks for every space and counts
+them without building a row: a block holds (words u) * (cores) * (words v)
+rows, the alphabet cores taken from the shared cache and the collision
+cores counted by `_collision_count`.  So it knows the family size and each
+block's first row index before a row exists.  A family over
+`Budgets.max_basis_size` is refused there, before enumeration, whichever
+engine answers the query; `words` member certificates take their row
+indices from the same blocks.
+
 `words` membership needs no echelon of the family.  Its cores sit on the
 block-aligned windows of length N, so the quotient is (B/S)^(q) (x) A_s: one
 factor B/S per window, B the words of length N and S the span of the window
@@ -376,41 +385,11 @@ def _collision_cores(params, k, budgets, cache, l, dz):
     return got
 
 
-def _row_blocks(L, d, core_len, lefts, cores):
-    """Blocks of the rows u * core * v of the component (L, d), in row order,
-    as (len_u, du, l, dc, len_v, dv, found): u runs over the lengths in
-    lefts, each leaving room for the core, v fills up, and found = cores(l,
-    dc) lists the cores of derivative order l and letter degree dc; it is not
-    asked when no u or no v fits.  Order: left length, deg u, l, dc."""
-    for len_u in lefts:
-        len_v = L - core_len - len_u
-        for du in range(d + 1):
-            if not count_words(len_u, du):
-                continue
-            for l in range(d - du + 1):
-                for dc in range(d - du - l + 1):
-                    dv = d - du - l - dc
-                    if not count_words(len_v, dv):
-                        continue
-                    found = cores(l, dc)
-                    if found:
-                        yield len_u, du, l, dc, len_v, dv, found
-
-
-def _block_rows(L, d, core_len, lefts, cores):
-    """The rows of `_row_blocks`, each block's u, core and v in their
-    enumeration order."""
-    for len_u, du, _, _, len_v, dv, found in _row_blocks(L, d, core_len, lefts,
-                                                         cores):
-        for u in words_iter(len_u, du):
-            for core in found:
-                for v in words_iter(len_v, dv):
-                    yield {u + cw + v: c for cw, c in core.items()}
-
-
 def _level_family(params, space, k, L, budgets, cache):
-    """(core_len, lefts, cores) of the level-k rows of a space at length L,
-    the arguments of `_row_blocks` after the component."""
+    """(core_len, lefts, cores) of the level-k rows of a space at length L:
+    u runs over the lengths in lefts, each leaving room for the core, and
+    cores(l, dc) lists the cores of derivative order l and letter degree
+    dc."""
     N = params.base ** (k * k) if space == "ideal" else params.block(k)
     # cores start at multiples of N, except two-block ideal cores: anywhere
     if space in ("collisions", "collisions_sum"):
@@ -422,41 +401,88 @@ def _level_family(params, space, k, L, budgets, cache):
     return core_len, range(0, L - core_len + 1, stride), cores
 
 
-def _dispatch_rows(params, query, budgets, cache):
+def _layout(params, query: SpanQuery, budgets: Budgets, cache: dict):
+    """The row blocks of every level of the query's family, counted in
+    closed form and refused over `max_basis_size` before a row is built.
+
+    Returns (k, lefts, blocks) per level: the core offsets, and a dict from
+    (len_u, du, l, dc), in row order, to (start, n_cores, n_v, len_v, dv).
+    The block's rows u * core * v nest u, core, v, so the one with the
+    i-th core has index start + (rank u * n_cores + i) * n_v + rank v.
+    Memoized in the shared cache; the budgets are checked on every call.
+    """
     space, L, d = query.space, query.length, query.degree
-    if space == "ideal":
-        # every level whose block fits the length, whether or not k_max does
-        levels = itertools.takewhile(lambda j: params.base ** (j * j) <= L,
+    dim = _component_dim(L, d, budgets)
+    key = ("layout", query)
+    got = cache.get(key)
+    if got is None:
+        if space == "ideal":
+            # every level whose block fits the length, whether or not k_max
+            # does
+            ks = itertools.takewhile(lambda j: params.base ** (j * j) <= L,
                                      itertools.count(1))
-    elif space == "collisions_sum":
-        levels = range(1, query.level + 1)
-    else:
-        levels = (query.level,)
-    for k in levels:
-        yield from _block_rows(L, d, *_level_family(params, space, k, L, budgets,
-                                                    cache))
+        elif space == "collisions_sum":
+            ks = range(1, query.level + 1)
+        else:
+            ks = (query.level,)
+        levels, total = [], 0
+        for k in ks:
+            core_len, lefts, cores = _level_family(params, space, k, L, budgets,
+                                                   cache)
+            blocks = {}
+            for len_u in lefts:
+                len_v = L - core_len - len_u
+                for du in range(d + 1):
+                    n_u = count_words(len_u, du)
+                    if not n_u:
+                        continue
+                    for l in range(d - du + 1):
+                        for dc in range(d - du - l + 1):
+                            dv = d - du - l - dc
+                            n_v = count_words(len_v, dv)
+                            if not n_v:
+                                continue
+                            if space in ("collisions", "collisions_sum"):
+                                n_cores = 0 if l else _collision_count(params, k, dc)
+                            else:
+                                n_cores = len(cores(l, dc))
+                            if n_cores:
+                                blocks[len_u, du, l, dc] = (total, n_cores, n_v,
+                                                            len_v, dv)
+                                total += n_u * n_cores * n_v
+            levels.append((k, lefts, blocks))
+        got = cache[key] = (levels, total)
+    levels, total = got
+    if total > budgets.max_basis_size:
+        raise BudgetExceeded(
+            f"spanning family for {query} has {total} rows, over the budget "
+            f"{budgets.max_basis_size} (component dimension {dim})",
+            component_dimension=dim, family_size=total)
+    return levels
 
 
-def _family_too_large(query: SpanQuery, dim: int, budgets: Budgets):
-    return BudgetExceeded(
-        f"spanning family for {query} exceeds {budgets.max_basis_size} "
-        f"rows (component dimension {dim})",
-        component_dimension=dim,
-    )
+def _block_rows(cores, blocks):
+    """The rows of one level's blocks, each block's u, core and v in their
+    enumeration order."""
+    for (len_u, du, l, dc), (_, _, _, len_v, dv) in blocks.items():
+        found = cores(l, dc)
+        for u in words_iter(len_u, du):
+            for core in found:
+                for v in words_iter(len_v, dv):
+                    yield {u + cw + v: c for cw, c in core.items()}
 
 
 def span_rows(params: ConstructionParams, query: SpanQuery,
               budgets: Budgets = DEFAULT_BUDGETS, _cache: dict | None = None):
     """Deterministic enumeration of the spanning family of the queried space
     inside the component, as sparse word->scalar dicts."""
-    dim = _component_dim(query.length, query.degree, budgets)
     cache = {} if _cache is None else _cache
-    count = 0
-    for row in _dispatch_rows(params, query, budgets, cache):
-        count += 1
-        if count > budgets.max_basis_size:
-            raise _family_too_large(query, dim, budgets)
-        yield row
+    for k, _, blocks in _layout(params, query, budgets, cache):
+        # the memoized layout keeps no core function, so no reference to the
+        # cache that holds it
+        _, _, cores = _level_family(params, query.space, k, query.length,
+                                    budgets, cache)
+        yield from _block_rows(cores, blocks)
 
 
 # -- the words span, window by window ----------------------------------------
@@ -487,9 +513,6 @@ class _WindowProjection:
         # window segment -> None when it is no pivot, else (residue items,
         # ((l, core index), coefficient) of the cores making up seg - residue)
         self._segments: dict[tuple, tuple | None] = {}
-        # query -> (window offsets, {(len_u, du, l, dc): (first row index,
-        # cores in the block, words v)})
-        self._layouts: dict = {}
 
     def _window(self, d: int) -> tuple[Echelon, list]:
         """Echelon of S_d and the (l, core index) each of its rows came from."""
@@ -520,30 +543,10 @@ class _WindowProjection:
         self._segments[seg] = found
         return found
 
-    def _layout(self, query: SpanQuery):
-        """Window offsets and row-block starts of the query's family, the
-        family refused over the basis budget like `span_rows` refuses it."""
-        got = self._layouts.get(query)
-        if got is None:
-            L, d = query.length, query.degree
-            dim = _component_dim(L, d, self.budgets)
-            core_len, lefts, cores = _level_family(self.params, "words", self.k, L,
-                                                   self.budgets, self.cache)
-            starts, total = {}, 0
-            for len_u, du, l, dc, len_v, dv, found in _row_blocks(
-                    L, d, core_len, lefts, cores):
-                n_v = count_words(len_v, dv)
-                starts[len_u, du, l, dc] = (total, len(found), n_v)
-                total += count_words(len_u, du) * len(found) * n_v
-            if total > self.budgets.max_basis_size:
-                raise _family_too_large(query, dim, self.budgets)
-            got = self._layouts[query] = (lefts, starts)
-        return got
-
     def reduce(self, vec: dict, query: SpanQuery) -> tuple[dict, list]:
         """Normal form of vec, and the words whose window segment was
         replaced, as (window offset, word, coefficient) in order."""
-        lefts, _ = self._layout(query)
+        [(_, lefts, _)] = _layout(self.params, query, self.budgets, self.cache)
         N = self.N
         fadd, fmul = self.params.field.add, self.params.field.mul
         segments = self._segments
@@ -588,7 +591,8 @@ class _WindowProjection:
         remainder.
         """
         residue, replaced = self.reduce(vec, query)
-        lefts, starts = self._layout(query)
+        [(_, lefts, blocks)] = _layout(self.params, query, self.budgets,
+                                       self.cache)
         field, N = self.params.field, self.N
         fadd, fmul = field.add, field.mul
         if residue:
@@ -610,7 +614,7 @@ class _WindowProjection:
             du, dseg = sum(u), sum(seg)
             rank_u, rank_v = _word_rank(u), _word_rank(v)
             for (l, i), a in self._segments[seg][1]:
-                start, n_cores, n_v = starts[m, du, l, dseg - l]
+                start, n_cores, n_v, _, _ = blocks[m, du, l, dseg - l]
                 idx = start + (rank_u * n_cores + i) * n_v + rank_v
                 cur = combo.get(idx)
                 cv = fmul(c, a)
@@ -679,36 +683,19 @@ class _CollisionQuotient:
     """
 
     def __init__(self, params: ConstructionParams, k: int, L: int,
-                 budgets: Budgets):
+                 budgets: Budgets, cache: dict):
         self.params = params
-        self.k = k
         self.budgets = budgets
-        self.core_len, self.lefts, _ = _level_family(params, "collisions", k, L,
-                                                     budgets, None)
+        self.cache = cache
+        _, lefts, _ = _level_family(params, "collisions", k, L, budgets, cache)
         self.n = len(params.slots(k))
-        self.positions = tuple(m + s for m in self.lefts for s in params.slots(k))
+        self.positions = tuple(m + s for m in lefts for s in params.slots(k))
         # a window has k + 1 >= 2 slots, so the getter returns a tuple
         self.letters = (itemgetter(*self.positions) if self.positions
                         else lambda word: ())
         # slot letters -> None when a window repeats one, else (sign,
         # letters with each window sorted descending)
         self._sorted: dict[tuple, tuple | None] = {}
-        self._checked: set[int] = set()
-
-    def _check(self, query: SpanQuery):
-        """Refuse the component and the family like `span_rows` does."""
-        d = query.degree
-        if d in self._checked:
-            return
-        dim = _component_dim(query.length, d, self.budgets)
-        total = sum(
-            count_words(len_u, du) * n_cores * count_words(len_v, dv)
-            for len_u, du, _, _, len_v, dv, n_cores in _row_blocks(
-                query.length, d, self.core_len, self.lefts,
-                lambda l, dc: 0 if l else _collision_count(self.params, self.k, dc)))
-        if total > self.budgets.max_basis_size:
-            raise _family_too_large(query, dim, self.budgets)
-        self._checked.add(d)
 
     def _windows(self, letters: tuple) -> list[tuple]:
         """The slot letters split by window (none without slots)."""
@@ -730,8 +717,9 @@ class _CollisionQuotient:
 
     def reduce(self, vec: dict, query: SpanQuery) -> dict:
         """Normal form of vec: every word replaced by its sorted
-        representative, signed, or dropped."""
-        self._check(query)
+        representative, signed, or dropped.  The family is refused like
+        `span_rows` refuses it."""
+        _layout(self.params, query, self.budgets, self.cache)
         fadd, fneg = self.params.field.add, self.params.field.neg
         get, positions, memo = self.letters, self.positions, self._sorted
         out: dict = {}
@@ -830,14 +818,14 @@ class SpanOracle:
         got = self._quotients.get(key)
         if got is None:
             got = self._quotients[key] = _CollisionQuotient(
-                self.params, query.level, query.length, self.budgets)
+                self.params, query.level, query.length, self.budgets, self._cores)
         return got
 
     def echelon(self, query: SpanQuery) -> Echelon:
         """The generic echelon of the query's family.  `words` queries are
         answered without it, and so are `collisions` queries except for
         member combinations; for them it is the deliberate cross-check that
-        tests and `component_stats` reach."""
+        the tests reach."""
         ech = self._echelons.get(query)
         if ech is None:
             ech = Echelon(self.params.field)
@@ -895,14 +883,6 @@ class SpanOracle:
         else:
             rows = span_rows(self.params, query, self.budgets, self._cores)
         return cert.verify(self.params.field, a.terms, rows)
-
-    def component_stats(self, query: SpanQuery) -> dict:
-        ech = self.echelon(query)
-        return {
-            "component_dimension": count_words(query.length, query.degree),
-            "family_size": ech.inserted,
-            "rank": len(ech),
-        }
 
 
 # -- signed checkpoint reorder -------------------------------------------------

@@ -1,5 +1,6 @@
 """Command-line behavior: exit statuses, JSON output, config parsing."""
 import json
+import time
 
 import pytest
 
@@ -205,6 +206,18 @@ def test_member_words_non_member(capsys, tmp_path):
     assert code == 0
     doc = json.loads(out)
     assert doc["kind"] == "non_member" and doc["verified"] is True
+
+
+def test_member_refuses_a_large_family_before_building_it(capsys, tmp_path):
+    # the truncated ideal at (80, 3) has 2422371 rows: refused from the
+    # closed-form count, not after enumerating two million of them
+    poly = write(tmp_path, "i.txt", "1*" + ".".join(["x0"] * 77 + ["x1"] * 3))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["member", "--input", poly, "--space", "I",
+                                "--length", "80", "--degree", "3"])
+    assert time.perf_counter() - start < 5
+    assert code == 4
+    assert "has 2422371 rows, over the budget 2000000" in json.loads(out)["error"]
 
 
 def test_member_requires_level_for_lettered_spaces(capsys, tmp_path):

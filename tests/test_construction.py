@@ -12,6 +12,7 @@ from dpring.construction import (
     CollisionElement,
     ConstructionParams,
     ParamsError,
+    SPACES,
     SpanOracle,
     SpanQuery,
     collision_elements,
@@ -233,6 +234,24 @@ def test_span_rows_budgets():
     with pytest.raises(BudgetExceeded):
         list(span_rows(P10, SpanQuery("words", 20, 1, level=1),
                        Budgets(max_basis_size=10)))
+    # every space counts its family before it builds a row: one row under
+    # the family size refuses the first row and names the size, the size
+    # itself lets the whole family through
+    small = [(P10, SpanQuery("words", 20, 1, level=1)),
+             (P10, SpanQuery("collisions", 20, 2, level=1)),
+             (P222, SpanQuery("collisions_sum", 31, 2, level=2)),
+             (P222, SpanQuery("ideal_level", 36, 1, level=2)),
+             (P10, SpanQuery("ideal", 30, 2))]
+    assert [q.space for _, q in small] == list(SPACES)
+    for params, q in small:
+        family = sum(1 for _ in span_rows(params, q))
+        with pytest.raises(BudgetExceeded) as refused:
+            next(span_rows(params, q, Budgets(max_basis_size=family - 1)))
+        assert refused.value.details["family_size"] == family
+        assert f"has {family} rows, over the budget {family - 1}" in str(
+            refused.value)
+        exact = Budgets(max_basis_size=family)
+        assert sum(1 for _ in span_rows(params, q, exact)) == family
 
 
 # Row streams pinned by count and by sha256 of repr(list(span_rows(...))).
@@ -291,12 +310,6 @@ def test_oracle_member_and_verify():
     cert2 = oracle.member(stray, q)
     assert cert2.kind == "non_member"
     assert oracle.verify(stray, q, cert2)
-
-
-def test_oracle_component_stats():
-    oracle = SpanOracle(P10)
-    stats = oracle.component_stats(SpanQuery("collisions", 9, 1, level=1))
-    assert stats == {"component_dimension": 9, "family_size": 8, "rank": 8}
 
 
 def test_oracle_normal_form_frozen():
@@ -448,7 +461,7 @@ def test_words_budgets_refuse_like_span_rows():
     probe = FreePoly.monomial(Q, (0,) * 19 + (1,))
     for budgets in (Budgets(max_component_dim=5), Budgets(max_basis_size=21)):
         with pytest.raises(BudgetExceeded) as from_rows:
-            list(span_rows(P10, q, budgets))
+            next(span_rows(P10, q, budgets))
         for ask in (SpanOracle.member, SpanOracle.normal_form):
             with pytest.raises(BudgetExceeded) as from_oracle:
                 ask(SpanOracle(P10, budgets), probe, q)
@@ -480,7 +493,7 @@ def test_collisions_budgets_refuse_like_span_rows():
     for budgets in (Budgets(max_component_dim=5),
                     Budgets(max_basis_size=family - 1)):
         with pytest.raises(BudgetExceeded) as from_rows:
-            list(span_rows(P10, q, budgets))
+            next(span_rows(P10, q, budgets))
         for probe in probes:
             for ask in (SpanOracle.member, SpanOracle.normal_form):
                 with pytest.raises(BudgetExceeded) as from_oracle:

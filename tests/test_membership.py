@@ -155,7 +155,7 @@ def test_basis_budget_bounds_the_echelon():
     oracle = SpanOracle(params, Budgets(max_basis_size=22))
     cert = oracle.member(probe, q)
     assert cert.kind == "member" and oracle.verify(probe, q, cert)
-    assert oracle.component_stats(q)["family_size"] == 22
+    assert oracle.echelon(q).inserted == 22
     with pytest.raises(BudgetExceeded):
         SpanOracle(params, Budgets(max_basis_size=21)).member(probe, q)
 

@@ -1,6 +1,6 @@
 """Package surface: every exported name resolves, no private name crosses
-a module boundary, no function binds a local it never reads, and the
-README's examples run."""
+a module boundary, no function binds a local it never reads, one function
+reads the family budget, and the README's examples run."""
 import ast
 import contextlib
 import importlib
@@ -95,6 +95,24 @@ def test_no_dead_local_bindings():
                       for var, line in bound.items()
                       if var != "_" and var not in read and var not in declared]
     assert found == []
+
+
+def test_one_function_reads_the_basis_budget():
+    # every span's family is counted and refused in one place, the
+    # closed-form layout; budgets.py defines the field and cli.py only
+    # passes its configured value through
+    allowed = {("construction.py", "_layout"), ("cli.py", "build_run_config")}
+    found = set()
+    for name, tree in parsed():
+        if name == "budgets.py":
+            continue
+        for scope in ast.walk(tree):
+            if isinstance(scope, (ast.Module, *SCOPES)):
+                found.update((name, getattr(scope, "name", type(scope).__name__))
+                             for node in _own_nodes(scope)
+                             if isinstance(node, ast.Attribute)
+                             and node.attr == "max_basis_size")
+    assert found == allowed
 
 
 def _fenced(heading: str, lang: str) -> str:
