@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 class BudgetExceeded(RuntimeError):
@@ -15,7 +15,8 @@ class BudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class Budgets:
-    """Hard caps that stop a large enumeration before it thrashes.
+    """Hard caps that stop a large enumeration before it thrashes; none may
+    be negative.
 
     max_expand_m: largest exponent accepted by the full power expansion.
     max_component_dim: largest bi-graded component dimension a span query
@@ -29,6 +30,12 @@ class Budgets:
     max_expand_m: int = 16
     max_component_dim: int = 1_000_000
     max_basis_size: int = 2_000_000
+
+    def __post_init__(self):
+        for cap in fields(self):
+            value = getattr(self, cap.name)
+            if value < 0:
+                raise ValueError(f"{cap.name} must be >= 0, got {value}")
 
 
 DEFAULT_BUDGETS = Budgets()

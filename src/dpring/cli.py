@@ -39,7 +39,6 @@ EXIT_BUDGET = 4
 SPACE_LETTERS = {
     "W": "words",
     "B": "collisions",
-    "Bsum": "collisions_sum",
     "I": "ideal",
 }
 
@@ -128,11 +127,15 @@ def build_run_config(raw: dict) -> RunConfig:
         )
     except ParamsError as exc:
         raise ConfigError(str(exc)) from None
-    budgets = Budgets(
-        max_expand_m=raw.get("max_expand_m", DEFAULT_BUDGETS.max_expand_m),
-        max_component_dim=raw.get("max_component_dim", DEFAULT_BUDGETS.max_component_dim),
-        max_basis_size=raw.get("max_basis_size", DEFAULT_BUDGETS.max_basis_size),
-    )
+    try:
+        budgets = Budgets(
+            max_expand_m=raw.get("max_expand_m", DEFAULT_BUDGETS.max_expand_m),
+            max_component_dim=raw.get("max_component_dim",
+                                      DEFAULT_BUDGETS.max_component_dim),
+            max_basis_size=raw.get("max_basis_size", DEFAULT_BUDGETS.max_basis_size),
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return RunConfig(params=params, budgets=budgets,
                      seed=raw.get("seed", 0), output=raw.get("output"))
 

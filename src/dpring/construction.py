@@ -12,14 +12,13 @@ slots and agree elsewhere ("swap").
 
 Spans queried here, always inside one bi-graded component (length, degree):
 
-  words           sum over m >= 0 of A(m*N) * derivatives of alphabet words
-                  of length N(k) * (anything on the right);
-  collisions      same with collision elements of level k in the middle;
-  collisions_sum  union of collisions rows for levels 1..k;
-  ideal_level     two-sided ideal generated by all derivatives of alphabet
-                  words of length 2*N(k);
-  ideal           union of ideal_level rows over every level whose block
-                  fits the component length.
+  words        sum over m >= 0 of A(m*N) * derivatives of alphabet words of
+               length N(k) * (anything on the right);
+  collisions   same with collision elements of level k in the middle;
+  ideal_level  two-sided ideal generated by all derivatives of alphabet
+               words of length 2*N(k);
+  ideal        union of ideal_level rows over every level whose block fits
+               the component length.
 
 Every row has the form u * core * v, the core being a derivative D^l(w) of
 an alphabet word w (words, ideal_level) or a collision element (collisions,
@@ -37,24 +36,26 @@ block's first row index before a row exists.  A family over
 engine answers the query; `words` member certificates take their row
 indices from the same blocks.
 
-`words` membership needs no echelon of the family.  Its cores sit on the
-block-aligned windows of length N, so the quotient is (B/S)^(q) (x) A_s: one
-factor B/S per window, B the words of length N and S the span of the window
-cores, and a free remainder.  `SpanOracle` reduces a `words` query window by
-window against a tiny echelon of the window cores per degree, and finds the
-index of each row it subtracts from the same row blocks `span_rows` walks.
-The echelon of a whole `words` family is kept only as the deliberate
-cross-check (`SpanOracle.echelon`).
-
-`collisions` verdicts, normal forms and non-member certificates need none
-either.  Each row repeats a slot letter, or swaps two distinct ones, inside
-one window [mN, mN + N - 1), so the quotient has a closed form: a word that
-repeats a slot letter in any window is zero, and any other word is the word
-with each window's slot letters sorted descending, times the sign of the
-sort.  A non-member functional is the signed indicator of one such class,
-and `SpanOracle.verify` checks it against the rows that meet its support,
-built from the slots alone.  Member combinations still come from the
-echelon of the family, whose row indices the reports pin.
+`words` and `collisions` membership need no echelon of the family.  Their
+rows put the core on one block-aligned window and change no letter outside
+it: the whole block [mN, mN + N) for `words`, the slot stretch
+[mN + s_0, mN + s_k] for `collisions`.  So each quotient is a tensor product
+of one B/S per window, B the words on the window's letters and S the span
+the window cores cut out there, with the letters around the windows left
+free.  One walker (`_Windows`) reduces a query one pass per window,
+replacing each segment that is a pivot of S by its residue, and builds a
+non-member functional e_z o P / r[z] as the product of one functional per
+window with z's other letters kept.  Each space supplies the residues and
+functionals of its segments: for `words` a tiny echelon of the window cores
+per degree, whose replacements also index a member's rows through the
+layout's blocks; for `collisions` the closed form, a segment that repeats a
+slot letter being zero and any other its slot letters sorted descending
+times the sign of the sort, with the signed class indicator as functional.
+`SpanOracle.verify` checks a `collisions` functional against the rows that
+meet its support, built from the slots alone.  `collisions` member
+combinations still come from the echelon of the family, whose row indices
+the reports pin; for the rest that echelon is the deliberate cross-check
+(`SpanOracle.echelon`).
 
 A level is degenerate when its checkpoints are not strictly increasing
 (r^k >= b^(2k-1)).  Its checkpoints then mark no well-defined positions: two
@@ -333,7 +334,7 @@ def collision_elements(params: ConstructionParams, k: int, degree: int,
 
 # -- span queries and row enumeration ----------------------------------------
 
-SPACES = ("words", "collisions", "collisions_sum", "ideal_level", "ideal")
+SPACES = ("words", "collisions", "ideal_level", "ideal")
 
 
 @dataclass(frozen=True)
@@ -392,7 +393,7 @@ def _level_family(params, space, k, L, budgets, cache):
     dc."""
     N = params.base ** (k * k) if space == "ideal" else params.block(k)
     # cores start at multiples of N, except two-block ideal cores: anywhere
-    if space in ("collisions", "collisions_sum"):
+    if space == "collisions":
         core_len, stride = N - 1, N
         cores = partial(_collision_cores, params, k, budgets, cache)
     else:
@@ -421,8 +422,6 @@ def _layout(params, query: SpanQuery, budgets: Budgets, cache: dict):
             # does
             ks = itertools.takewhile(lambda j: params.base ** (j * j) <= L,
                                      itertools.count(1))
-        elif space == "collisions_sum":
-            ks = range(1, query.level + 1)
         else:
             ks = (query.level,)
         levels, total = [], 0
@@ -442,7 +441,7 @@ def _layout(params, query: SpanQuery, budgets: Budgets, cache: dict):
                             n_v = count_words(len_v, dv)
                             if not n_v:
                                 continue
-                            if space in ("collisions", "collisions_sum"):
+                            if space == "collisions":
                                 n_cores = 0 if l else _collision_count(params, k, dc)
                             else:
                                 n_cores = len(cores(l, dc))
@@ -485,86 +484,75 @@ def span_rows(params: ConstructionParams, query: SpanQuery,
         yield from _block_rows(cores, blocks)
 
 
-# -- the words span, window by window ----------------------------------------
+# -- the block-aligned spans, window by window --------------------------------
 
 
-class _WindowProjection:
-    """Membership in the level-k `words` span by projecting each window.
+_UNSEEN = object()  # a segment missing from the memo
 
-    A row u * D^l(w) * v puts its core on a window [mN, mN + N).  With B the
-    words of length N and S_d the span of the window cores D^l(w) with
-    l + deg w = d, the span at length qN + s is the sum over the q windows of
-    B^(m) (x) S (x) B^(q-1-m) (x) A_s, so its quotient is (B/S)^(q) (x) A_s.
-    A tiny echelon of S_d per degree projects B onto its non-pivot words;
-    the projections act on different tensor factors, so one pass per window,
-    replacing every segment that is a pivot by its residue, gives the exact
-    normal form (the generic echelon's too: both are the projection onto the
-    words with no pivot segment along the span).
+
+class _Windows:
+    """The quotient by a block-aligned span, one window at a time.
+
+    A `words` or `collisions` row u * core * v puts its core on the window
+    [m + a, m + b) of the block that starts at m = len u, and changes no
+    letter outside it.  With B the words on the window's letters and S the
+    span the window cores cut out there, the quotient is the tensor product
+    of one B/S per window with the letters around the windows left free.  A
+    space supplies its window (a, b), the residue of a segment modulo S and
+    the functional of a segment that is no pivot.  The residues act on
+    different tensor factors, so one pass per window, replacing every pivot
+    segment by its residue, gives the exact normal form, the generic
+    echelon's too: both project onto the words with no pivot segment.
     """
 
-    def __init__(self, params: ConstructionParams, k: int, budgets: Budgets,
-                 cache: dict):
+    records = False  # whether `reduce` lists the words it replaced
+
+    def __init__(self, params: ConstructionParams, budgets: Budgets,
+                 cache: dict, window: tuple[int, int] | None):
         self.params = params
-        self.k = k
         self.budgets = budgets
         self.cache = cache
-        self.N = params.block(k)
-        self._windows: dict[int, tuple[Echelon, list]] = {}
-        # window segment -> None when it is no pivot, else (residue items,
-        # ((l, core index), coefficient) of the cores making up seg - residue)
+        self.window = window  # None when the level has no window
+        # window segment -> None when it is no pivot, else its residue items
         self._segments: dict[tuple, tuple | None] = {}
 
-    def _window(self, d: int) -> tuple[Echelon, list]:
-        """Echelon of S_d and the (l, core index) each of its rows came from."""
-        got = self._windows.get(d)
-        if got is None:
-            origin, rows = [], []
-            for l in range(d + 1):
-                found = _alphabet_cores(self.params, self.k, self.N, self.cache,
-                                        l, d - l)
-                origin.extend((l, i) for i in range(len(found)))
-                rows.extend(found)
-            ech = Echelon(self.params.field)
-            ech.extend(rows)
-            got = self._windows[d] = (ech, origin)
-        return got
-
-    def _segment(self, seg: tuple):
-        ech, origin = self._window(sum(seg))
-        found = None
-        if seg in ech.rows:
-            field = self.params.field
-            residue, _ = ech.reduce({seg: field.one})
-            core_part = {w: field.neg(c) for w, c in residue.items()}
-            core_part[seg] = field.one
-            combination = ech.certificate(core_part).combination
-            found = (tuple(residue.items()),
-                     [(origin[j], c) for j, c in combination])
-        self._segments[seg] = found
-        return found
+    def _windows(self, query: SpanQuery) -> list[tuple[int, int, int]]:
+        """(block start, window start, window end) of each window of the
+        query, the blocks from the layout, which refuses the family like
+        `span_rows` refuses it."""
+        [(_, lefts, _)] = _layout(self.params, query, self.budgets, self.cache)
+        if self.window is None:
+            return []
+        a, b = self.window
+        return [(m, m + a, m + b) for m in lefts]
 
     def reduce(self, vec: dict, query: SpanQuery) -> tuple[dict, list]:
-        """Normal form of vec, and the words whose window segment was
-        replaced, as (window offset, word, coefficient) in order."""
-        [(_, lefts, _)] = _layout(self.params, query, self.budgets, self.cache)
-        N = self.N
+        """Normal form of vec, and, when `records` is set, the words whose
+        window segment was replaced, as (block start, word, coefficient) in
+        order."""
+        windows = self._windows(query)
+        if not windows:
+            return dict(vec), []
         fadd, fmul = self.params.field.add, self.params.field.mul
-        segments = self._segments
+        memo, records = self._segments.get, self.records
         replaced = []
-        vec = dict(vec)  # a fresh residue even when no window fits
-        for m in lefts:
+        for m, lo, hi in windows:
             out: dict = {}
             hits = []
             for x, c in vec.items():
-                seg = x[m:m + N]
-                found = segments[seg] if seg in segments else self._segment(seg)
+                seg = x[lo:hi]
+                found = memo(seg, _UNSEEN)
+                if found is _UNSEEN:
+                    found = self._segment(seg)
                 if found is None:
                     out[x] = c
-                else:
-                    hits.append((x, c, found[0]))
+                    continue
+                if records:
+                    replaced.append((m, x, c))
+                if found:  # a zero residue drops the word at once
+                    hits.append((x, c, found))
             for x, c, residue in hits:
-                replaced.append((m, x, c))
-                u, v = x[:m], x[m + N:]
+                u, v = x[:lo], x[hi:]
                 for t, r in residue:
                     w = u + t + v
                     cw = fmul(c, r)
@@ -580,40 +568,85 @@ class _WindowProjection:
             vec = out
         return vec, replaced
 
-    def certificate(self, vec: dict, query: SpanQuery) -> MembershipCertificate:
-        """Certificate for vec from one projection.
+    def non_member(self, residue: dict, query: SpanQuery) -> MembershipCertificate:
+        """e_z o P / r[z], z the smallest word of the residue r and P the
+        projection: the product over the windows of the functional of z's
+        segment there, z's other letters kept."""
+        field = self.params.field
+        fmul = field.mul
+        z = min(residue, key=word_key)
+        functional = {z: field.inv(residue[z])}
+        for _, lo, hi in self._windows(query):
+            phi = self._functional(z[lo:hi])
+            functional = {w[:lo] + s + w[hi:]: fmul(c, f)
+                          for w, c in functional.items() for s, f in phi.items()}
+        return MembershipCertificate("non_member", functional=functional)
 
-        A member gets the rows u * core * v that the replacements subtracted,
-        indexed through the row blocks of `_layout`.  A non-member gets
-        e_z o P / r[z], z the smallest word of the residue r and P the
-        projection: the product over the windows of each window echelon's
-        functional for the segment of z, times the indicator of z's
-        remainder.
-        """
-        residue, replaced = self.reduce(vec, query)
-        [(_, lefts, blocks)] = _layout(self.params, query, self.budgets,
-                                       self.cache)
-        field, N = self.params.field, self.N
+
+class _WordWindows(_Windows):
+    """The level-k `words` span: the window is the whole block [m, m + N),
+    and S_d is spanned by the window cores D^l(w) with l + deg w = d.  A tiny
+    echelon of S_d per degree gives each segment's residue and functional,
+    and a member's certificate lists the rows u * core * v its replacements
+    subtracted."""
+
+    records = True
+
+    def __init__(self, params: ConstructionParams, k: int, budgets: Budgets,
+                 cache: dict):
+        super().__init__(params, budgets, cache, (0, params.block(k)))
+        self.k = k
+        self._window_echelons: dict[int, tuple[Echelon, list]] = {}
+        # pivot segment -> ((l, core index), coefficient) of the cores
+        # making up the segment minus its residue
+        self._combinations: dict[tuple, list] = {}
+
+    def _echelon(self, d: int) -> tuple[Echelon, list]:
+        """Echelon of S_d and the (l, core index) each of its rows came from."""
+        got = self._window_echelons.get(d)
+        if got is None:
+            origin, rows = [], []
+            for l in range(d + 1):
+                found = _alphabet_cores(self.params, self.k, self.window[1],
+                                        self.cache, l, d - l)
+                origin.extend((l, i) for i in range(len(found)))
+                rows.extend(found)
+            ech = Echelon(self.params.field)
+            ech.extend(rows)
+            got = self._window_echelons[d] = (ech, origin)
+        return got
+
+    def _segment(self, seg: tuple):
+        ech, origin = self._echelon(sum(seg))
+        found = None
+        if seg in ech.rows:
+            field = self.params.field
+            residue, _ = ech.reduce({seg: field.one})
+            core_part = {w: field.neg(c) for w, c in residue.items()}
+            core_part[seg] = field.one
+            self._combinations[seg] = [
+                (origin[j], c)
+                for j, c in ech.certificate(core_part).combination]
+            found = tuple(residue.items())
+        self._segments[seg] = found
+        return found
+
+    def _functional(self, seg: tuple) -> dict:
+        ech, _ = self._echelon(sum(seg))
+        return ech.certificate({seg: self.params.field.one}).functional
+
+    def member(self, replaced: list, query: SpanQuery) -> MembershipCertificate:
+        """The rows u * core * v the replacements subtracted, indexed through
+        the row blocks of `_layout`."""
+        [(_, _, blocks)] = _layout(self.params, query, self.budgets, self.cache)
+        field, N = self.params.field, self.window[1]
         fadd, fmul = field.add, field.mul
-        if residue:
-            z = min(residue, key=word_key)
-            functional = {(): field.inv(residue[z])}
-            for m in lefts:
-                seg = z[m:m + N]
-                ech, _ = self._window(sum(seg))
-                phi = ech.certificate({seg: field.one}).functional
-                functional = {p + w: fmul(c, f) for p, c in functional.items()
-                              for w, f in phi.items()}
-            rest = z[len(lefts) * N:]
-            return MembershipCertificate(
-                "non_member",
-                functional={p + rest: c for p, c in functional.items()})
         combo: dict[int, object] = {}
         for m, x, c in replaced:
             u, seg, v = x[:m], x[m:m + N], x[m + N:]
             du, dseg = sum(u), sum(seg)
             rank_u, rank_v = _word_rank(u), _word_rank(v)
-            for (l, i), a in self._segments[seg][1]:
+            for (l, i), a in self._combinations[seg]:
                 start, n_cores, n_v, _, _ = blocks[m, du, l, dseg - l]
                 idx = start + (rank_u * n_cores + i) * n_v + rank_v
                 cur = combo.get(idx)
@@ -669,99 +702,53 @@ def _collision_count(params: ConstructionParams, k: int, degree: int) -> int:
     return count_words(length, degree) - distinct + comb(n, 2) * swaps
 
 
-class _CollisionQuotient:
-    """The quotient by the level-k `collisions` span at length L, in closed
-    form.
+class _CollisionWindows(_Windows):
+    """The level-k `collisions` span in closed form.
 
-    Every row puts a repeat or a swap of slot letters on one window
-    [mN, mN + N - 1), so a word repeating a slot letter in any window is
-    zero, and any other word is its window-sorted representative times the
-    sign of the sort.  Sorting each window descending gives the largest word
-    of the class under `word_key`, the one word of the class that is no
-    pivot of the generic echelon, so the normal form is that echelon's
-    residue exactly.
+    Every row repeats a slot letter, or swaps two distinct ones, so its
+    window is the slot stretch [m + s_0, m + s_k].  A segment repeating a
+    slot letter is zero, and any other is its representative with the slot
+    letters sorted descending times the sign of the sort: the largest word
+    of its class under `word_key`, the one that is no pivot of the generic
+    echelon.  The functional of a sorted segment is the signed indicator of
+    its class.  A degenerate level has no slots and so no window.
     """
 
-    def __init__(self, params: ConstructionParams, k: int, L: int,
-                 budgets: Budgets, cache: dict):
-        self.params = params
-        self.budgets = budgets
-        self.cache = cache
-        _, lefts, _ = _level_family(params, "collisions", k, L, budgets, cache)
-        self.n = len(params.slots(k))
-        self.positions = tuple(m + s for m in lefts for s in params.slots(k))
+    def __init__(self, params: ConstructionParams, k: int, budgets: Budgets,
+                 cache: dict):
+        slots = params.slots(k)
+        super().__init__(params, budgets, cache,
+                         (slots[0], slots[-1] + 1) if slots else None)
+        self.slots = tuple(s - slots[0] for s in slots)
         # a window has k + 1 >= 2 slots, so the getter returns a tuple
-        self.letters = (itemgetter(*self.positions) if self.positions
-                        else lambda word: ())
-        # slot letters -> None when a window repeats one, else (sign,
-        # letters with each window sorted descending)
-        self._sorted: dict[tuple, tuple | None] = {}
+        self.letters = itemgetter(*self.slots) if slots else None
+        one = params.field.one
+        self.signs = {1: one, -1: params.field.neg(one)}
 
-    def _windows(self, letters: tuple) -> list[tuple]:
-        """The slot letters split by window (none without slots)."""
-        n = self.n
-        return [letters[i:i + n] for i in range(0, len(letters), n)] if n else []
+    def _place(self, seg: tuple, letters) -> tuple:
+        """The segment with its slot letters replaced."""
+        w = list(seg)
+        for p, t in zip(self.slots, letters):
+            w[p] = t
+        return tuple(w)
 
-    def _sort(self, letters: tuple):
-        """Memoise and return the entry of `_sorted` for the letters."""
-        n, sign, out = self.n, 1, []
-        for window in self._windows(letters):
-            if len(set(window)) < n:
-                self._sorted[letters] = None
-                return None
+    def _segment(self, seg: tuple):
+        letters = self.letters(seg)
+        found = ()
+        if len(set(letters)) == len(letters):
+            new = tuple(sorted(letters, reverse=True))
             # reversed, the descending sort is an ascending one
-            sign *= _sort_sign(window[::-1])
-            out.extend(sorted(window, reverse=True))
-        got = self._sorted[letters] = (sign, tuple(out))
-        return got
+            found = None if new == letters else (
+                (self._place(seg, new), self.signs[_sort_sign(letters[::-1])]),)
+        self._segments[seg] = found
+        return found
 
-    def reduce(self, vec: dict, query: SpanQuery) -> dict:
-        """Normal form of vec: every word replaced by its sorted
-        representative, signed, or dropped.  The family is refused like
-        `span_rows` refuses it."""
-        _layout(self.params, query, self.budgets, self.cache)
-        fadd, fneg = self.params.field.add, self.params.field.neg
-        get, positions, memo = self.letters, self.positions, self._sorted
-        out: dict = {}
-        for x, c in vec.items():
-            letters = get(x)
-            got = memo[letters] if letters in memo else self._sort(letters)
-            if got is None:
-                continue
-            sign, new = got
-            if new != letters:
-                w = list(x)
-                for p, t in zip(positions, new):
-                    w[p] = t
-                x = tuple(w)
-            if sign < 0:
-                c = fneg(c)
-            cur = out.get(x)
-            if cur is None:
-                out[x] = c
-            else:
-                nv = fadd(cur, c)
-                if nv:
-                    out[x] = nv
-                else:
-                    del out[x]
-        return out
+    def _functional(self, seg: tuple) -> dict:
+        return {self._place(seg, p): self.signs[_sort_sign(p[::-1])]
+                for p in itertools.permutations(self.letters(seg))}
 
-    def functional(self, z: tuple, scale) -> dict:
-        """scale times the signed indicator of the class of the sorted word
-        z, in descending word order: each word permuting z's slot letters
-        inside their windows, signed by the permutation."""
-        positions, neg = self.positions, self.params.field.neg(scale)
-        windows = map(itertools.permutations, self._windows(self.letters(z)))
-        out = {}
-        # permutations of a descending window come out in descending order
-        for combo in itertools.product(*windows):
-            letters = sum(combo, ())
-            w = list(z)
-            for p, t in zip(positions, letters):
-                w[p] = t
-            out[tuple(w)] = scale if self._sort(letters)[0] > 0 else neg
-        return out
+
+_WINDOWED = {"words": _WordWindows, "collisions": _CollisionWindows}
 
 
 def _collision_rows_meeting(params: ConstructionParams, query: SpanQuery,
@@ -792,10 +779,9 @@ def _collision_rows_meeting(params: ConstructionParams, query: SpanQuery,
 
 
 class SpanOracle:
-    """Answers membership with re-verifiable certificates: `words` queries by
-    the per-window projection, `collisions` verdicts, normal forms and
-    non-member certificates by the closed-form quotient, and every other
-    space, and `collisions` member combinations, by one cached echelon per
+    """Answers membership with re-verifiable certificates: `words` and
+    `collisions` queries by the windowed quotient, and every other space,
+    and `collisions` member combinations, by one cached echelon per
     query."""
 
     def __init__(self, params: ConstructionParams, budgets: Budgets = DEFAULT_BUDGETS):
@@ -803,22 +789,14 @@ class SpanOracle:
         self.budgets = budgets
         self._echelons: dict[SpanQuery, Echelon] = {}
         self._cores: dict = {}
-        self._projections: dict[int, _WindowProjection] = {}
-        self._quotients: dict[tuple[int, int], _CollisionQuotient] = {}
+        self._engines: dict[tuple[str, int], _Windows] = {}
 
-    def _projection(self, k: int) -> _WindowProjection:
-        got = self._projections.get(k)
+    def _engine(self, query: SpanQuery) -> _Windows:
+        key = (query.space, query.level)
+        got = self._engines.get(key)
         if got is None:
-            got = self._projections[k] = _WindowProjection(
-                self.params, k, self.budgets, self._cores)
-        return got
-
-    def _quotient(self, query: SpanQuery) -> _CollisionQuotient:
-        key = (query.level, query.length)
-        got = self._quotients.get(key)
-        if got is None:
-            got = self._quotients[key] = _CollisionQuotient(
-                self.params, query.level, query.length, self.budgets, self._cores)
+            got = self._engines[key] = _WINDOWED[query.space](
+                self.params, query.level, self.budgets, self._cores)
         return got
 
     def echelon(self, query: SpanQuery) -> Echelon:
@@ -850,25 +828,20 @@ class SpanOracle:
     def member(self, a: FreePoly, query: SpanQuery) -> MembershipCertificate:
         if self._check_query_input(a, query):
             return MembershipCertificate("member", combination=[])
-        if query.space == "words":
-            return self._projection(query.level).certificate(a.terms, query)
-        if query.space == "collisions":
-            quotient = self._quotient(query)
-            residue = quotient.reduce(a.terms, query)
+        if query.space in _WINDOWED:
+            engine = self._engine(query)
+            residue, replaced = engine.reduce(a.terms, query)
             if residue:
-                z = min(residue, key=word_key)
-                scale = self.params.field.inv(residue[z])
-                return MembershipCertificate(
-                    "non_member", functional=quotient.functional(z, scale))
+                return engine.non_member(residue, query)
+            if query.space == "words":
+                return engine.member(replaced, query)
         return self.echelon(query).certificate(a.terms)
 
     def normal_form(self, a: FreePoly, query: SpanQuery) -> FreePoly:
         if self._check_query_input(a, query):
             return FreePoly.zero(self.params.field)
-        if query.space == "words":
-            residue, _ = self._projection(query.level).reduce(a.terms, query)
-        elif query.space == "collisions":
-            residue = self._quotient(query).reduce(a.terms, query)
+        if query.space in _WINDOWED:
+            residue, _ = self._engine(query).reduce(a.terms, query)
         else:
             residue, _ = self.echelon(query).reduce(a.terms)
         return FreePoly(self.params.field, residue)

@@ -545,8 +545,11 @@ def verify_counterexample(params: ConstructionParams, h_max: int = 2,
     non-membership certificates against both the collision span and the
     truncated ideal.  Positively, x0^(2N) generates: it is a member of the
     level-1 ideal family, and random products of 2N degree-zero elements
-    reduce to zero against the ideal in every component.
+    reduce to zero against the ideal in every component, so products must
+    be >= 1.
     """
+    if products < 1:
+        raise ValueError(f"products must be >= 1, got {products}")
     field = params.field
     k = 1
     N = params.block(k)

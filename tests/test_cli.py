@@ -122,6 +122,18 @@ def test_missing_config_file_is_3(capsys):
     assert code == 3
 
 
+def test_negative_budget_is_3(capsys, tmp_path):
+    # refused with the config, not reported later as a budget exceeded
+    cfg = write(tmp_path, "neg.cfg", "max_basis_size = -3\n")
+    code, out, _ = run(capsys, ["verify", "--campaign", "inclusions",
+                                "--config", cfg])
+    assert code == 3
+    assert "max_basis_size must be >= 0, got -3" in json.loads(out)["error"]
+    with pytest.raises(ConfigError, match="max_expand_m"):
+        build_run_config({"max_expand_m": -1})
+    assert build_run_config({"max_component_dim": 0}).budgets.max_component_dim == 0
+
+
 def test_budget_exceeded_is_4(capsys):
     code, out, _ = run(capsys, ["expand", "--m", "40"])
     assert code == 4
@@ -186,11 +198,15 @@ def test_member_statuses(capsys, tmp_path):
 
 def test_member_space_letters(capsys, tmp_path):
     poly = write(tmp_path, "p.txt", "1*" + ".".join(["x0"] * 20))
-    for space in ("W", "Bsum"):
+    for space in ("W", "B"):
         code, out, _ = run(capsys, ["member", "--input", poly, "--space", space,
                                     "--k", "1", "--length", "20", "--degree", "0"])
         assert code == 0, space
         assert json.loads(out)["kind"] == "member"
+    # the union of the collisions spans over levels is gone
+    code, _, err = run(capsys, ["member", "--input", poly, "--space", "Bsum",
+                                "--k", "1", "--length", "20", "--degree", "0"])
+    assert code == 2 and "invalid choice: 'Bsum'" in err
     code, out, _ = run(capsys, ["member", "--input", poly, "--space", "I",
                                 "--length", "20", "--degree", "0"])
     assert code == 0

@@ -210,7 +210,6 @@ def test_span_query_validation():
     with pytest.raises(ValueError):
         SpanQuery("ideal", 5, 1, level=1)  # truncated union takes no level
     SpanQuery("ideal", 5, 1)
-    SpanQuery("collisions_sum", 5, 1, level=2)
 
 
 def test_span_rows_frozen_counts():
@@ -239,7 +238,6 @@ def test_span_rows_budgets():
     # itself lets the whole family through
     small = [(P10, SpanQuery("words", 20, 1, level=1)),
              (P10, SpanQuery("collisions", 20, 2, level=1)),
-             (P222, SpanQuery("collisions_sum", 31, 2, level=2)),
              (P222, SpanQuery("ideal_level", 36, 1, level=2)),
              (P10, SpanQuery("ideal", 30, 2))]
     assert [q.space for _, q in small] == list(SPACES)
@@ -258,8 +256,9 @@ def test_span_rows_budgets():
 # Certificate indices are row positions, so any change of row order breaks
 # stored certificates even when the spanned space is unchanged.
 PINNED_STREAMS = [
-    ((3, 2, 2, Q), SpanQuery("collisions_sum", 80, 1, level=2), 2216,
-     "5e990219fe50f59da91c035f058fc4588440f219ef246ca3463d047f39d9348b"),
+    # the rows escape_l2's member combinations index
+    ((3, 2, 2, Q), SpanQuery("collisions", 80, 1, level=2), 83,
+     "c57ae1e31fc1602243e66e951d7b5370e2d132553ae21c406ec23c05fdbea4ab"),
     ((2, 2, 2, Q), SpanQuery("ideal", 36, 1), 1274,
      "7d2ac6e617d6cc31960b0fa0af878a14845de17d6abe7e047ffecfe772106bac"),
     ((2, 2, 2, Q), SpanQuery("ideal_level", 36, 1, level=2), 185,
@@ -614,6 +613,45 @@ def test_level_two_escape_needs_no_collisions_echelon():
         forged = {**cert.functional, w: Q.add(c, Q.one)}
         assert not oracle.verify(a, q, MembershipCertificate("non_member",
                                                              functional=forged))
+
+
+def test_one_oracle_answers_like_a_fresh_one_per_query():
+    # the windowed engines keep one segment memo per (space, level), shared
+    # across lengths and degrees: interleaved queries through one oracle get
+    # the normal forms and certificates a fresh oracle gives each of them
+    P232 = ConstructionParams(2, 3, 2, Q)  # level 2 degenerate: no slots
+    P322 = ConstructionParams(3, 2, 2, Q)
+    cases = [(P10, SpanQuery(space, L, d, level=1))
+             for space in ("words", "collisions")
+             for L, d in ((20, 2), (30, 2), (20, 3), (9, 1), (5, 2))]
+    cases += [(P222, SpanQuery("collisions", 31, 2, level=2)),
+              (P222, SpanQuery("words", 33, 1, level=2)),
+              (P222, SpanQuery("words", 20, 2, level=1)),
+              (P222, SpanQuery("collisions", 15, 2, level=2)),  # no window
+              (P232, SpanQuery("collisions", 31, 2, level=2)),
+              (P232, SpanQuery("words", 32, 1, level=2)),
+              (P322, SpanQuery("collisions", 80, 1, level=2)),
+              (P322, SpanQuery("collisions", 80, 2, level=2)),
+              (P322, SpanQuery("collisions", 20, 2, level=1))]
+    rng = random.Random(7)
+    asks = []
+    for params, q in cases:
+        words = list(words_iter(q.length, q.degree))
+        rows = list(span_rows(params, q))
+        asks += [(params, q, random_query_vector(rng, Q, words, rows))
+                 for _ in range(4)]
+    rng.shuffle(asks)
+    shared = {params: SpanOracle(params) for params, _ in cases}
+    kinds = set()
+    for params, q, a in asks:
+        fresh = SpanOracle(params)
+        assert (shared[params].normal_form(a, q).terms
+                == fresh.normal_form(a, q).terms), q
+        cert = shared[params].member(a, q)
+        assert cert == fresh.member(a, q), q
+        assert fresh.verify(a, q, cert), q
+        kinds.add((q.space, cert.kind))
+    assert len(kinds) == 4  # members and non-members in both spaces
 
 
 # Echelon states pinned by rank and by sha256 of the sorted rows and history,

@@ -142,6 +142,13 @@ def test_verify_counterexample():
     assert rep.verdict == "pass"
 
 
+@pytest.mark.parametrize("products", [0, -1])
+def test_verify_counterexample_rejects_products_below_one(products):
+    # the nil check ranges over the lengths of its products, so it needs one
+    with pytest.raises(ValueError, match="products"):
+        run_campaign("counterexample", P10, knobs={"products": products})
+
+
 def test_verify_phi():
     rep = verify_phi(P222, kill_samples=10, fix_samples=5,
                      preserve_trials=4, seed=0)

@@ -1,7 +1,9 @@
 """Package surface: every exported name resolves, no private name crosses
-a module boundary, no function binds a local it never reads, one function
-reads the family budget, and the README's examples run."""
+a module boundary, no private module-level name goes unread in its module,
+no function binds a local it never reads, one function reads the family
+budget, and the README's examples run."""
 import ast
+import collections
 import contextlib
 import importlib
 import io
@@ -58,6 +60,37 @@ def test_no_private_cross_module_imports():
                   and isinstance(node.value, ast.Name)
                   and node.value.id in siblings
                   and node.attr.startswith("_")]
+    assert found == []
+
+
+def _reads(node) -> collections.Counter:
+    """How often each name is read inside a node."""
+    return collections.Counter(n.id for n in ast.walk(node)
+                               if isinstance(n, ast.Name)
+                               and isinstance(n.ctx, ast.Load))
+
+
+def test_no_orphaned_private_names():
+    # a private module-level function, class or constant that nothing else
+    # in its own module reads is dead code, left behind when its last
+    # caller went
+    found = []
+    for name, tree in parsed():
+        reads = _reads(tree)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            own = _reads(node)
+            found += [f"{name}:{node.lineno}: {var}" for var in defined
+                      if var.startswith("_") and not var.startswith("__")
+                      and reads[var] == own[var]]
     assert found == []
 
 
