@@ -201,11 +201,11 @@ def _params_doc(params: ConstructionParams) -> dict:
 
 def cmd_expand(args, cfg: RunConfig) -> int:
     field = cfg.params.field
-    if args.window is None:
-        ore = expand_power(field, args.m, max_expand_m=cfg.budgets.max_expand_m)
-    else:
+    if args.window is not None:
         ore = OrePoly(ShiftDerivation(field),
                       expand_power_window(field, args.m, args.window))
+    else:
+        ore = expand_power(field, args.m, max_expand_m=cfg.budgets.max_expand_m)
     doc = {
         "schema": "dpring.expand/1",
         "m": args.m,
@@ -231,8 +231,6 @@ def cmd_member(args, cfg: RunConfig) -> int:
     poly = poly_from_text(field, text)
     space = SPACE_LETTERS[args.space]
     level = None if space == "ideal" else args.k
-    if space != "ideal" and level is None:
-        return _fail(EXIT_VALIDATION, f"space {args.space} requires --k", cfg.output)
     query = SpanQuery(space, args.length, args.degree, level=level)
     oracle = SpanOracle(cfg.params, budgets=cfg.budgets)
     print(f"member: querying {args.space} at length {args.length} "

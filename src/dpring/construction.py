@@ -59,11 +59,13 @@ the reports pin; for the rest that echelon is the deliberate cross-check
 
 A level is degenerate when its checkpoints are not strictly increasing
 (r^k >= b^(2k-1)).  Its checkpoints then mark no well-defined positions: two
-of them coincide, or c_{k+1} >= N(k) falls outside the word.  A degenerate
-level has no slots, so its collision family is empty even where some
-checkpoint pairs happen to fit inside the word.  Constructors accept such
-parameter sets so that the healthy levels remain usable; eager validation is
-available separately.
+of them coincide, or c_{k+1} >= N(k) falls outside the word.  So it has no
+slots and no collision family: `slots` refuses it with ParamsError, even
+where some checkpoint pairs happen to fit inside the word, and with it every
+collisions computation, all of which read the slots first.  The `words`,
+`ideal_level` and `ideal` spans read no slots and are answered at every
+level.  Constructors accept such parameter sets so that the healthy levels
+remain usable; eager validation is available separately.
 """
 
 from __future__ import annotations
@@ -141,9 +143,8 @@ class ConstructionParams:
 
     def slots(self, k: int) -> tuple[int, ...]:
         """0-based indices of c_1 .. c_{k+1} in a level-k block word of length
-        N(k) - 1; empty on a degenerate level."""
-        if not self.level_valid(k):
-            return ()
+        N(k) - 1.  A degenerate level has none and raises ParamsError."""
+        self.require_level(k)
         return tuple(c - 1 for c in self.checkpoints(k)[1 : k + 2])
 
     def invalid_levels(self) -> list[int]:
@@ -243,8 +244,8 @@ class CollisionElement:
 
     kind "repeat": one word with equal letters at two of the level's slots.
     kind "swap": two words, in ascending order, that swap distinct letters
-    across two slots and agree elsewhere.  A degenerate level has no slots
-    and so no elements.
+    across two slots and agree elsewhere.  Only a level with slots, one that
+    is not degenerate, has elements.
     """
 
     level: int
@@ -268,7 +269,8 @@ def collision_test(params: ConstructionParams, k: int, candidate):
     """Test a word (repeat kind) or a pair of words (swap kind).
 
     Returns the witnessing CollisionElement or None.  The candidate length
-    must be N(k)-1; anything else is an error, not a negative answer.
+    must be N(k)-1 and the level must not be degenerate; anything else is an
+    error (ParamsError for the level), not a negative answer.
     """
     slots = params.slots(k)
     length = params.block(k) - 1
@@ -315,8 +317,6 @@ def collision_elements(params: ConstructionParams, k: int, degree: int,
     letter pair (larger, smaller)."""
     slots = params.slots(k)
     length = params.block(k) - 1
-    if not slots or degree < 0:
-        return
     _component_dim(length, degree, budgets)
     for w in words_iter(length, degree):
         if _repeats(w, slots):
@@ -394,6 +394,7 @@ def _level_family(params, space, k, L, budgets, cache):
     N = params.base ** (k * k) if space == "ideal" else params.block(k)
     # cores start at multiples of N, except two-block ideal cores: anywhere
     if space == "collisions":
+        params.slots(k)  # refused on a degenerate level, even with no window
         core_len, stride = N - 1, N
         cores = partial(_collision_cores, params, k, budgets, cache)
     else:
@@ -508,11 +509,11 @@ class _Windows:
     records = False  # whether `reduce` lists the words it replaced
 
     def __init__(self, params: ConstructionParams, budgets: Budgets,
-                 cache: dict, window: tuple[int, int] | None):
+                 cache: dict, window: tuple[int, int]):
         self.params = params
         self.budgets = budgets
         self.cache = cache
-        self.window = window  # None when the level has no window
+        self.window = window
         # window segment -> None when it is no pivot, else its residue items
         self._segments: dict[tuple, tuple | None] = {}
 
@@ -521,8 +522,6 @@ class _Windows:
         query, the blocks from the layout, which refuses the family like
         `span_rows` refuses it."""
         [(_, lefts, _)] = _layout(self.params, query, self.budgets, self.cache)
-        if self.window is None:
-            return []
         a, b = self.window
         return [(m, m + a, m + b) for m in lefts]
 
@@ -688,8 +687,6 @@ def _collision_count(params: ConstructionParams, k: int, degree: int) -> int:
     minus those with distinct slot letters, and every slot pair has the same
     number of swaps."""
     slots = params.slots(k)
-    if not slots or degree < 0:
-        return 0
     n, length = len(slots), params.block(k) - 1
     # n distinct letters summing to t, less 0..n-1, are a partition of
     # t - n(n-1)/2 into at most n parts; each set fills the slots n! ways
@@ -711,17 +708,16 @@ class _CollisionWindows(_Windows):
     letters sorted descending times the sign of the sort: the largest word
     of its class under `word_key`, the one that is no pivot of the generic
     echelon.  The functional of a sorted segment is the signed indicator of
-    its class.  A degenerate level has no slots and so no window.
+    its class.  `slots` refuses a degenerate level, which has no window.
     """
 
     def __init__(self, params: ConstructionParams, k: int, budgets: Budgets,
                  cache: dict):
         slots = params.slots(k)
-        super().__init__(params, budgets, cache,
-                         (slots[0], slots[-1] + 1) if slots else None)
+        super().__init__(params, budgets, cache, (slots[0], slots[-1] + 1))
         self.slots = tuple(s - slots[0] for s in slots)
         # a window has k + 1 >= 2 slots, so the getter returns a tuple
-        self.letters = itemgetter(*self.slots) if slots else None
+        self.letters = itemgetter(*self.slots)
         one = params.field.one
         self.signs = {1: one, -1: params.field.neg(one)}
 
@@ -869,11 +865,10 @@ def signed_reorder_word(params: ConstructionParams, k: int, word: tuple):
     with those letters rewritten in target order, signed by the permutation's
     parity; otherwise the image is zero (returns None).
     """
-    params.require_level(k)
+    slots = params.slots(k)  # refuses a degenerate level
     length = params.block(k) - 1
     if len(word) != length:
         raise ValueError(f"wrong length: expected {length}, got {len(word)}")
-    slots = params.slots(k)
     targets = params.checkpoints(k)[: k + 1]
     letters = [word[i] for i in slots]
     if sorted(letters) != targets:

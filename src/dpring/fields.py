@@ -91,6 +91,8 @@ class RationalField:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
+        if a == 1 or a == -1:
+            return int(a)  # its own inverse, without building a Fraction
         return _canonical(1 / Fraction(a))
 
     def format(self, a) -> str:

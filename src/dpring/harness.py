@@ -24,6 +24,7 @@ from math import comb
 from .budgets import BudgetExceeded, Budgets, DEFAULT_BUDGETS
 from .construction import (
     ConstructionParams,
+    ParamsError,
     SpanOracle,
     SpanQuery,
     collision_test,
@@ -154,6 +155,19 @@ class CampaignReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
+def _at_least(low: int, **knobs):
+    """Refuse a knob below its floor, or a sequence knob that is empty or
+    holds an entry below it, naming the knob: a zero-sized knob runs no
+    check, and a campaign must not pass on none."""
+    for name, value in knobs.items():
+        if isinstance(value, int):
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
+        elif not value or min(value) < low:
+            raise ValueError(f"{name} must be non-empty with entries >= {low}, "
+                             f"got {list(value)}")
+
+
 def _params_dict(params: ConstructionParams) -> dict:
     return {
         "base": params.base,
@@ -176,6 +190,7 @@ def verify_ballot(field=None, m_max: int = 8) -> CampaignReport:
     The converse (every ballot word appears with nonzero coefficient) is
     reported informationally.
     """
+    _at_least(0, m_max=m_max)
     field = field or RationalField()
     rep = CampaignReport("ballot", {"field": field_label(field), "m_max": m_max})
     for m in range(0, m_max + 1):
@@ -231,8 +246,6 @@ def _sample_collision(params: ConstructionParams, k: int, rng: random.Random,
     component stays small; returns the witnessing element."""
     length = params.block(k) - 1
     pairs = list(itertools.combinations(params.slots(k), 2))
-    if not pairs:
-        raise ValueError(f"level {k} has no usable checkpoint pairs")
     while True:
         word = [0] * length
         for _ in range(rng.randint(0, 2)):
@@ -268,15 +281,21 @@ def verify_z_closure(params: ConstructionParams, samples: int = 25, seed: int = 
     one degree up.  The certificates of the first verify_limit samples per
     level are additionally re-verified against a regenerated spanning family.
     Sampled elements have degree below degree_cap, so the cap must be >= 1.
+    Degenerate levels have no collision family and are skipped; with no
+    other level the campaign raises ParamsError.
     """
-    if degree_cap is not None and degree_cap < 1:
-        raise ValueError(f"degree_cap must be >= 1, got {degree_cap}")
+    _at_least(1, samples=samples)
+    if degree_cap is not None:
+        _at_least(1, degree_cap=degree_cap)
+    levels = [k for k in range(1, params.k_max + 1) if params.level_valid(k)]
+    if not levels:
+        raise ParamsError(f"every level in 1..{params.k_max} is degenerate, so "
+                          "there is no collision family to sample")
     field = params.field
     rep = CampaignReport("z_closure", {**_params_dict(params),
                                        "samples": samples,
                                        "degree_cap": degree_cap}, seed=seed)
     rng = random.Random(seed)
-    levels = [k for k in range(1, params.k_max + 1) if params.level_valid(k)]
     oracle = SpanOracle(params, budgets)
     for k in levels:
         length = params.block(k) - 1
@@ -327,12 +346,16 @@ def verify_inclusions(params: ConstructionParams, k: int = 1, lengths=None,
     Every spanning row of the level-k ideal family at the listed lengths is
     given a membership certificate in both larger spans; the certificates
     for the first row of each component are re-verified against the
-    regenerated spanning families.
+    regenerated spanning families.  Each length must fit an ideal core, 2N,
+    and a degenerate level, with no collision span, is refused first.
     """
+    params.slots(k)
     field = params.field
     N = params.block(k)
     if lengths is None:
         lengths = (2 * N, 3 * N)
+    _at_least(2 * N, lengths=lengths)
+    _at_least(0, degree_cap=degree_cap)
     rep = CampaignReport("inclusions", {**_params_dict(params), "level": k,
                                         "lengths": list(lengths),
                                         "degree_cap": degree_cap})
@@ -402,8 +425,11 @@ def verify_products(params: ConstructionParams, k: int = 1, trials: int = 20,
     component, certifies each lies outside the level-k span (resampling
     members, which are counted as skips, at most 12 draws per factor), forms
     their x0-joined product, and certifies the product outside the span of
-    its own component.
+    its own component.  A degenerate level, with no collision span, is
+    refused first.
     """
+    params.slots(k)
+    _at_least(1, trials=trials, h_values=h_values)
     field = params.field
     N = params.block(k)
     length = N - 1
@@ -473,7 +499,9 @@ def _descend(params: ConstructionParams, k: int, h: int, oracle: SpanOracle,
     while the escape sits within a few indices of the top, so each step
     recomputes only the narrow window it needs.  The width budget turns
     runaway descents into a clean refusal instead of memory exhaustion.
+    A degenerate level has no collision span to escape and is refused first.
     """
+    params.slots(k)
     field = params.field
     N = params.block(k)
     m = h * N - 1
@@ -504,6 +532,7 @@ def locate_escape(params: ConstructionParams, k: int = 1, h: int = 1,
     level-k collision span and check it beats the strict threshold
     (k+2)(m+1) / (2(k+1)); coefficients above it are certified members.
     """
+    _at_least(1, h=h)
     field = params.field
     rep = CampaignReport("escape", {**_params_dict(params), "level": k, "h": h})
     oracle = SpanOracle(params, budgets)
@@ -548,8 +577,7 @@ def verify_counterexample(params: ConstructionParams, h_max: int = 2,
     reduce to zero against the ideal in every component, so products must
     be >= 1.
     """
-    if products < 1:
-        raise ValueError(f"products must be >= 1, got {products}")
+    _at_least(1, h_max=h_max, products=products)
     field = params.field
     k = 1
     N = params.block(k)
@@ -625,6 +653,8 @@ def verify_phi(params: ConstructionParams, kill_samples: int = 100,
     family, fixes checkpoint-sorted words, signs transpositions, and carries
     embedded lower-level collision elements to embedded collision elements.
     """
+    _at_least(1, kill_samples=kill_samples, fix_samples=fix_samples,
+              preserve_trials=preserve_trials)
     field = params.field
     k = max((j for j in range(1, params.k_max + 1) if params.level_valid(j)),
             default=None)
@@ -776,6 +806,8 @@ def verify_series(field=None, dimension: int = 3, trials: int = 25,
     the matrix power, and component extraction from sampled evaluations is
     exact.
     """
+    _at_least(2, dimension=dimension)
+    _at_least(1, trials=trials)
     field = field or RationalField()
     rep = CampaignReport("series", {"field": field_label(field),
                                     "dimension": dimension,

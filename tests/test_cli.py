@@ -243,6 +243,30 @@ def test_member_requires_level_for_lettered_spaces(capsys, tmp_path):
     assert code == 3
 
 
+def test_degenerate_level_is_3(capsys, tmp_path):
+    # both levels of (2,3,2) are degenerate: no collision family to query,
+    # sample or escape from, while the word span is still answered
+    cfg = write(tmp_path, "232.cfg", "b = 2\nr = 3\nk_max = 2\n")
+    poly = write(tmp_path, "p.txt", "1*" + ".".join(["x0"] * 15))
+    code, out, _ = run(capsys, ["member", "--input", poly, "--space", "B",
+                                "--k", "2", "--length", "15", "--degree", "0",
+                                "--config", cfg])
+    assert code == 3
+    assert "level 2 is degenerate" in json.loads(out)["error"]
+    for campaign in ("products", "z_closure", "escape", "inclusions",
+                     "counterexample"):
+        code, out, _ = run(capsys, ["verify", "--campaign", campaign,
+                                    "--config", cfg])
+        assert code == 3, campaign
+        assert "degenerate" in json.loads(out)["error"], campaign
+    block = write(tmp_path, "w.txt", "1*" + ".".join(["x0"] * 16))
+    code, out, _ = run(capsys, ["member", "--input", block, "--space", "W",
+                                "--k", "2", "--length", "16", "--degree", "0",
+                                "--config", cfg])
+    assert code == 0
+    assert json.loads(out)["kind"] == "member"
+
+
 def test_member_bigrade_mismatch_is_3(capsys, tmp_path):
     poly = write(tmp_path, "p.txt", "1*x0.x0")
     code, out, _ = run(capsys, ["member", "--input", poly, "--space", "B",
@@ -278,6 +302,13 @@ def test_series_subcommand(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["campaign"] == "series" and doc["verdict"] == "pass"
+
+
+def test_series_refuses_zero_sized_knobs(capsys):
+    for flags, knob in ((["--trials", "0"], "trials"), (["--dim", "1"], "dimension")):
+        code, out, _ = run(capsys, ["series", *flags])
+        assert code == 3
+        assert json.loads(out)["error"].startswith(f"{knob} must be >= ")
 
 
 def test_series_is_the_series_campaign(capsys):

@@ -176,15 +176,39 @@ def test_collision_elements_match_collision_test():
             assert back is not None and back.kind == el.kind
 
 
-def test_collision_elements_degenerate_level_is_empty():
-    # level 2 of (2,3,2) is degenerate although c_1 < c_2 < N(2) - 1
+def test_degenerate_level_refuses_collisions():
+    # a degenerate level has no slots and so no collision family: every
+    # collisions entry point refuses it, level 2 of (2,3,2) too although
+    # c_1 < c_2 < N(2) - 1; the spans that read no slots are still answered
     for params, k, degree in [(P222, 1, 2), (ConstructionParams(2, 3, 2, Q), 2, 1)]:
         assert not params.level_valid(k)
-        assert list(collision_elements(params, k, degree)) == []
-        length = params.block(k) - 1
-        assert collision_test(params, k, (0,) * length) is None
-        query = SpanQuery("collisions", length, degree, level=k)
-        assert list(span_rows(params, query)) == []
+        N = params.block(k)
+        word = (0,) * (N - 2) + (degree,)
+        probe = FreePoly.monomial(Q, word)
+        query = SpanQuery("collisions", N - 1, degree, level=k)
+        functional = MembershipCertificate("non_member", functional={word: Q.one})
+        asks = [
+            lambda: list(collision_elements(params, k, degree)),
+            lambda: collision_test(params, k, word),
+            lambda: collision_test(params, k, (word, word[::-1])),
+            lambda: list(span_rows(params, query)),
+            # a component no window fits in is refused too
+            lambda: list(span_rows(params, SpanQuery("collisions", 1, 0, level=k))),
+            lambda: SpanOracle(params).member(probe, query),
+            lambda: SpanOracle(params).normal_form(probe, query),
+            lambda: SpanOracle(params).echelon(query),
+            lambda: SpanOracle(params).verify(probe, query, functional),
+        ]
+        for ask in asks:
+            with pytest.raises(ParamsError, match=f"level {k} is degenerate"):
+                ask()
+        oracle = SpanOracle(params)
+        for q in (SpanQuery("words", N, 0, level=k),
+                  SpanQuery("ideal_level", 2 * N, 0, level=k),
+                  SpanQuery("ideal", 2 * N, 0)):
+            a = FreePoly.monomial(Q, (0,) * q.length)
+            cert = oracle.member(a, q)
+            assert cert.kind == "member" and oracle.verify(a, q, cert), q
 
 
 def test_collision_elements_level_two():
@@ -473,7 +497,7 @@ def test_words_budgets_refuse_like_span_rows():
 
 @pytest.mark.parametrize("params, k, degrees", [
     (P10, 1, range(5)),
-    (P222, 1, range(5)),   # degenerate level: no elements
+    (ConstructionParams(3, 2, 1, Q), 1, range(5)),   # the slots fill the word
     (P222, 2, range(4)),
     (ConstructionParams(3, 2, 2, Q), 2, range(3)),
     (ConstructionParams(4, 3, 1, Q), 1, range(4)),
@@ -506,14 +530,16 @@ def test_collisions_budgets_refuse_like_span_rows():
 
 @st.composite
 def small_collisions_queries(draw):
+    # valid levels only: level 1 of base 2 is degenerate, and so is a
+    # ratio r with r^k >= base^(2k-1)
     base = draw(st.integers(2, 4))
-    k = draw(st.integers(1, 2)) if base == 2 else 1
+    k = 2 if base == 2 else 1
     N = base ** (k * k)
     length = draw(st.sampled_from((1, 2, 3, 0))) * N + draw(st.integers(0, N - 1))
     degree = draw(st.integers(0, 3))
     assume(1 <= length <= 36 and count_words(length, degree) <= 600)
-    params = ConstructionParams(base, draw(st.integers(2, 3)), k,
-                                draw(st.sampled_from(WORDS_FIELDS)))
+    ratio = draw(st.sampled_from([r for r in (2, 3) if r**k < base ** (2 * k - 1)]))
+    params = ConstructionParams(base, ratio, k, draw(st.sampled_from(WORDS_FIELDS)))
     return params, SpanQuery("collisions", length, degree, level=k)
 
 
@@ -542,8 +568,6 @@ def tampered_functionals(rng, field, functional, words, slots):
 
 @settings(max_examples=40, deadline=None)
 @given(case=small_collisions_queries(), seed=st.integers(0, 2**16))
-@example(case=(ConstructionParams(2, 2, 1, Q), SpanQuery("collisions", 7, 2, level=1)),
-         seed=0)  # degenerate level, empty family
 @example(case=(ConstructionParams(3, 2, 1, PrimeField(3)),
                SpanQuery("collisions", 26, 2, level=1)), seed=1)  # three windows
 @example(case=(P222, SpanQuery("collisions", 31, 2, level=2)), seed=2)
@@ -619,7 +643,7 @@ def test_one_oracle_answers_like_a_fresh_one_per_query():
     # the windowed engines keep one segment memo per (space, level), shared
     # across lengths and degrees: interleaved queries through one oracle get
     # the normal forms and certificates a fresh oracle gives each of them
-    P232 = ConstructionParams(2, 3, 2, Q)  # level 2 degenerate: no slots
+    P232 = ConstructionParams(2, 3, 2, Q)  # level 2 degenerate: words only
     P322 = ConstructionParams(3, 2, 2, Q)
     cases = [(P10, SpanQuery(space, L, d, level=1))
              for space in ("words", "collisions")
@@ -627,8 +651,7 @@ def test_one_oracle_answers_like_a_fresh_one_per_query():
     cases += [(P222, SpanQuery("collisions", 31, 2, level=2)),
               (P222, SpanQuery("words", 33, 1, level=2)),
               (P222, SpanQuery("words", 20, 2, level=1)),
-              (P222, SpanQuery("collisions", 15, 2, level=2)),  # no window
-              (P232, SpanQuery("collisions", 31, 2, level=2)),
+              (P222, SpanQuery("collisions", 15, 2, level=2)),  # no whole block
               (P232, SpanQuery("words", 32, 1, level=2)),
               (P322, SpanQuery("collisions", 80, 1, level=2)),
               (P322, SpanQuery("collisions", 80, 2, level=2)),

@@ -25,7 +25,7 @@ def test_rational_inverse_stays_exact():
     assert Q.inv(2) == Fraction(1, 2)
     assert Q.inv(-1) == -1
     # inverses of +-1 collapse back to plain ints
-    assert isinstance(Q.inv(1), int)
+    assert isinstance(Q.inv(1), int) and isinstance(Q.inv(-1), int)
     assert Q.mul(Q.inv(7), 7) == 1
     with pytest.raises(ZeroDivisionError):
         Q.inv(0)

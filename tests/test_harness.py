@@ -4,8 +4,14 @@ import json
 
 import pytest
 
+from dpring import harness
 from dpring.budgets import Budgets
-from dpring.construction import ConstructionParams, SpanOracle, SpanQuery
+from dpring.construction import (
+    ConstructionParams,
+    ParamsError,
+    SpanOracle,
+    SpanQuery,
+)
 from dpring.fields import PrimeField, RationalField
 from dpring.freealg import FreePoly
 from dpring.harness import (
@@ -26,6 +32,7 @@ from dpring.harness import (
 Q = RationalField()
 P10 = ConstructionParams(10, 3, 1, Q)
 P222 = ConstructionParams(2, 2, 2, Q)
+P232 = ConstructionParams(2, 3, 2, Q)  # both levels degenerate
 
 
 # -- report plumbing -----------------------------------------------------------
@@ -147,6 +154,46 @@ def test_verify_counterexample_rejects_products_below_one(products):
     # the nil check ranges over the lengths of its products, so it needs one
     with pytest.raises(ValueError, match="products"):
         run_campaign("counterexample", P10, knobs={"products": products})
+
+
+# one case per guard: a knob that would let a campaign run no check
+ZERO_SIZED_KNOBS = [
+    ("z_closure", "samples", 0),
+    ("products", "trials", 0),
+    ("series", "trials", 0),
+    ("escape", "h", 0),
+    ("counterexample", "h_max", 0),
+    ("phi", "kill_samples", 0),
+    ("phi", "fix_samples", 0),
+    ("phi", "preserve_trials", 0),
+    ("ballot", "m_max", -1),
+    ("series", "dimension", 1),
+    ("products", "h_values", ()),
+    ("products", "h_values", (1, 0)),
+    ("inclusions", "degree_cap", -1),
+    ("inclusions", "lengths", ()),
+    ("inclusions", "lengths", (5,)),
+    ("inclusions", "lengths", (20, 19)),  # one length below 2N = 20
+]
+
+
+@pytest.mark.parametrize("name, knob, value", ZERO_SIZED_KNOBS)
+def test_zero_sized_knobs_are_refused(name, knob, value):
+    with pytest.raises(ValueError, match=f"^{knob} must be"):
+        run_campaign(name, P10, knobs={knob: value})
+
+
+@pytest.mark.parametrize("name, knobs", [
+    ("escape", {}), ("escape", {"k": 2}), ("counterexample", {}),
+    ("z_closure", {}), ("products", {}), ("inclusions", {}),
+])
+def test_degenerate_level_is_refused(name, knobs, monkeypatch):
+    # the escape descent refuses the level before it expands a window
+    def no_window(*args):
+        raise AssertionError("a window was expanded")
+    monkeypatch.setattr(harness, "expand_power_window", no_window)
+    with pytest.raises(ParamsError, match="degenerate"):
+        run_campaign(name, P232, knobs=knobs)
 
 
 def test_verify_phi():
