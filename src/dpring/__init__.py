@@ -36,12 +36,14 @@ from .harness import CAMPAIGNS, CampaignReport, run_campaign
 from .membership import Echelon, MembershipCertificate
 from .ore import (
     OrePoly,
+    PowerCoefficient,
     commute_past,
     expand_power,
     expand_power_window,
     is_ballot_word,
     ore_from_text,
     ore_to_text,
+    word_weight,
 )
 from .series import (
     InnerDerivation,
@@ -69,6 +71,7 @@ __all__ = [
     "MembershipCertificate",
     "OrePoly",
     "ParamsError",
+    "PowerCoefficient",
     "PrimeField",
     "RationalField",
     "ShiftDerivation",
@@ -97,6 +100,7 @@ __all__ = [
     "span_rows",
     "vandermonde_extract",
     "word_key",
+    "word_weight",
     "words_iter",
     "__version__",
 ]

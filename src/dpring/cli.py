@@ -253,11 +253,29 @@ def cmd_member(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _knob(text: str) -> tuple[str, object]:
+    """One ``--knob key=value``: the value an int, or comma-separated ints
+    for a sequence knob, a trailing comma making a sequence of one."""
+    key, sep, value = text.partition("=")
+    try:
+        if not key or not sep:
+            raise ValueError
+        if "," in value:
+            return key, tuple(int(v) for v in value.removesuffix(",").split(","))
+        return key, int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected key=N or key=N,N,..., got {text!r}") from None
+
+
 def cmd_verify(args, cfg: RunConfig) -> int:
     name = args.campaign
-    knobs = None
     if args.command == "series":
         knobs = {"dimension": args.dim, "trials": args.trials}
+    else:
+        knobs = dict(args.knob)
+        if len(knobs) != len(args.knob):
+            raise ValueError("a knob is given twice")
     print(f"verify: campaign {name} with seed {cfg.seed}", file=sys.stderr)
     report = harness.run_campaign(name, cfg.params, seed=cfg.seed,
                                   include_timing=args.timing,
@@ -333,6 +351,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run a named verification campaign")
     p.add_argument("--campaign", required=True, metavar="NAME",
                    help="one of: " + ", ".join(harness.CAMPAIGNS))
+    p.add_argument("--knob", type=_knob, action="append", default=[],
+                   metavar="KEY=VALUE",
+                   help="set a campaign knob to an int, or to comma-separated "
+                        "ints (repeatable); a name the campaign does not "
+                        "take exits 3")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("params", parents=[common],

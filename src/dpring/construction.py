@@ -57,6 +57,24 @@ combinations still come from the echelon of the family, whose row indices
 the reports pin; for the rest that echelon is the deliberate cross-check
 (`SpanOracle.echelon`).
 
+A coefficient of (x0 X)^m too large to write out is answered in
+`collisions` lazily (`ore.PowerCoefficient`), through its classes.  A class
+is fixed by the descending slot letters of each window, the other letters of
+the windows and the letters outside them; the quotient sends a member of a
+repeat-free class to its descending representative times the sign of the
+sort, and a word repeating a slot letter to zero.  So the normal form is the
+sum over the repeat-free classes of (signed sum of the coefficient's weights
+over the class's placements) * representative.  The classes are counted in
+closed form first (`_class_count`, zero below degree h k(k+1)/2 with h
+windows) and capped by `Budgets.max_component_dim`, then walked
+(`_CollisionWindows.class_sums`), the window offsets taken from `slots` and
+`block` alone.  A member gets a "classes" certificate listing every class;
+a non-member gets the windowed functional of the smallest word of the
+normal form, built by the same `non_member` as any other.
+`SpanOracle.verify` recounts a "classes" certificate, recomputes each sum
+through the query's `get`, and checks a functional against a lazy
+coefficient on the functional's own support.
+
 A level is degenerate when its checkpoints are not strictly increasing
 (r^k >= b^(2k-1)).  Its checkpoints then mark no well-defined positions: two
 of them coincide, or c_{k+1} >= N(k) falls outside the word.  So it has no
@@ -517,19 +535,19 @@ class _Windows:
         # window segment -> None when it is no pivot, else its residue items
         self._segments: dict[tuple, tuple | None] = {}
 
-    def _windows(self, query: SpanQuery) -> list[tuple[int, int, int]]:
-        """(block start, window start, window end) of each window of the
-        query, the blocks from the layout, which refuses the family like
-        `span_rows` refuses it."""
-        [(_, lefts, _)] = _layout(self.params, query, self.budgets, self.cache)
+    def _windows(self, lefts) -> list[tuple[int, int, int]]:
+        """(block start, window start, window end) of the window of each
+        block start."""
         a, b = self.window
         return [(m, m + a, m + b) for m in lefts]
 
     def reduce(self, vec: dict, query: SpanQuery) -> tuple[dict, list]:
         """Normal form of vec, and, when `records` is set, the words whose
         window segment was replaced, as (block start, word, coefficient) in
-        order."""
-        windows = self._windows(query)
+        order.  The blocks come from the layout, which refuses the family
+        like `span_rows` refuses it."""
+        [(_, lefts, _)] = _layout(self.params, query, self.budgets, self.cache)
+        windows = self._windows(lefts)
         if not windows:
             return dict(vec), []
         fadd, fmul = self.params.field.add, self.params.field.mul
@@ -570,12 +588,16 @@ class _Windows:
     def non_member(self, residue: dict, query: SpanQuery) -> MembershipCertificate:
         """e_z o P / r[z], z the smallest word of the residue r and P the
         projection: the product over the windows of the functional of z's
-        segment there, z's other letters kept."""
+        segment there, z's other letters kept.  The blocks come from the
+        geometry alone, with no budget on the component: a residue summed
+        by classes may come from one far too large to lay out."""
         field = self.params.field
         fmul = field.mul
         z = min(residue, key=word_key)
         functional = {z: field.inv(residue[z])}
-        for _, lo, hi in self._windows(query):
+        _, lefts, _ = _level_family(self.params, query.space, query.level,
+                                    query.length, self.budgets, self.cache)
+        for _, lo, hi in self._windows(lefts):
             phi = self._functional(z[lo:hi])
             functional = {w[:lo] + s + w[hi:]: fmul(c, f)
                           for w, c in functional.items() for s, f in phi.items()}
@@ -681,22 +703,74 @@ def _partitions(n: int, parts: int) -> int:
     return ways[n]
 
 
+def _window_slots(params: ConstructionParams, k: int, L: int) -> list[tuple]:
+    """The word indices of the slots of each level-k window of a word of
+    length L, one tuple per block, from `slots` and `block` alone."""
+    slots, N = params.slots(k), params.block(k)
+    return [tuple(m + s for s in slots) for m in range(0, L - N + 2, N)]
+
+
+def _class_count(params: ConstructionParams, k: int, L: int, d: int) -> int:
+    """Repeat-free classes of the `collisions` component (L, d), counted in
+    closed form: each window holds a set of k + 1 distinct slot letters,
+    which less 0..k is a partition into at most k + 1 parts, and the other
+    letters are free.  Zero below degree h k(k+1)/2, h the number of
+    windows: there every word repeats a slot letter somewhere."""
+    windows = _window_slots(params, k, L)
+    n = k + 1
+    sets = [_partitions(t - n * (n - 1) // 2, n) for t in range(d + 1)]
+    ways = [1] + [0] * d  # choices of one set per window, by their total
+    for _ in windows:
+        ways = [sum(ways[t - s] * sets[s] for s in range(t + 1))
+                for t in range(d + 1)]
+    return sum(ways[t] * count_words(L - n * len(windows), d - t)
+               for t in range(d + 1))
+
+
 def _collision_count(params: ConstructionParams, k: int, degree: int) -> int:
     """len(list(collision_elements(params, k, degree))), counted from its
     loops without enumerating an element: the repeat words are the words
-    minus those with distinct slot letters, and every slot pair has the same
-    number of swaps."""
-    slots = params.slots(k)
-    n, length = len(slots), params.block(k) - 1
-    # n distinct letters summing to t, less 0..n-1, are a partition of
-    # t - n(n-1)/2 into at most n parts; each set fills the slots n! ways
-    distinct = sum(factorial(n) * _partitions(t - n * (n - 1) // 2, n)
-                   * count_words(length - n, degree - t)
-                   for t in range(degree + 1))
+    minus the repeat-free ones, each class filling the slots n! ways, and
+    every slot pair has the same number of swaps."""
+    n, length = k + 1, params.block(k) - 1
+    distinct = factorial(n) * _class_count(params, k, length, degree)
     swaps = sum(count_words(length - 2, degree - hi - lo)
                 for hi in range(1, degree + 1)
                 for lo in range(min(hi - 1, degree - hi) + 1))
     return count_words(length, degree) - distinct + comb(n, 2) * swaps
+
+
+def _sprinkle(places: list, e: int, start: int = 0):
+    """Every way to write letters of total e on places[start:], as the
+    (place, letter) pairs of the nonzero ones in ascending place."""
+    if not e:
+        yield ()
+        return
+    for i in range(start, len(places)):
+        for x in range(1, e + 1):
+            for more in _sprinkle(places, e - x, i + 1):
+                yield ((places[i], x),) + more
+
+
+def _dense(length: int, letters) -> tuple:
+    """The word of the given length with the given nonzero letters."""
+    w = [0] * length
+    for p, x in letters:
+        w[p] = x
+    return tuple(w)
+
+
+def _dense_order(letters) -> tuple:
+    """Key ordering words of one length, given by their nonzero letters, as
+    `word_key` orders them written out: the first difference is a nonzero
+    letter placed earlier (the larger word) or a smaller letter."""
+    return tuple((-p, x) for p, x in letters)
+
+
+def _placings(letters: tuple) -> list[tuple[tuple, int]]:
+    """Each order of a window's distinct slot letters with the sign that
+    sorts it descending, the sign of its `collisions` residue."""
+    return [(p, _sort_sign(p[::-1])) for p in itertools.permutations(letters)]
 
 
 class _CollisionWindows(_Windows):
@@ -740,8 +814,65 @@ class _CollisionWindows(_Windows):
         return found
 
     def _functional(self, seg: tuple) -> dict:
-        return {self._place(seg, p): self.signs[_sort_sign(p[::-1])]
-                for p in itertools.permutations(self.letters(seg))}
+        return {self._place(seg, p): self.signs[sign]
+                for p, sign in _placings(self.letters(seg))}
+
+    def class_sums(self, query: SpanQuery, a) -> dict:
+        """The normal form of a lazy coefficient a (`ore.PowerCoefficient`)
+        by its repeat-free classes, with no word of a enumerated.
+
+        A class is fixed by the descending slot letters of each window, the
+        other letters of the windows and the letters outside them.  It is
+        named by its representative, the member with every window
+        descending, given by its nonzero letters in ascending place; its sum
+        is the signed sum of a.weigh over its placements, the sign that of
+        the sorts.  The normal form is the sum of class sum * representative
+        over the returned {class: sum}.  Refused before the walk when the
+        component has more classes than max_component_dim.
+        """
+        L, d = query.length, query.degree
+        count = _class_count(self.params, query.level, L, d)
+        if count > self.budgets.max_component_dim:
+            raise BudgetExceeded(
+                f"component ({L}, {d}) has {count} repeat-free classes "
+                f"(budget {self.budgets.max_component_dim})", classes=count)
+        field = self.params.field
+        fadd, fsub = field.add, field.sub
+        windows = _window_slots(self.params, query.level, L)
+        taken = {p for places in windows for p in places}
+        free = [p for p in range(L) if p not in taken]
+        n = len(self.slots)
+        sets = [[c[::-1] for c in itertools.combinations(range(t + 1), n)
+                 if sum(c) == t] for t in range(d + 1)]
+
+        def spread(h: int, budget: int):
+            """(one descending slot set for each of h windows, the degree
+            left over)"""
+            if not h:
+                yield (), budget
+                return
+            for t in range(budget + 1):
+                for s in sets[t]:
+                    for more, left in spread(h - 1, budget - t):
+                        yield (s,) + more, left
+
+        out = {}
+        for chosen, left in spread(len(windows), d):
+            orders = [_placings(s) for s in chosen]
+            for outside in _sprinkle(free, left):
+                total, rep = field.zero, None
+                for placing in itertools.product(*orders):
+                    sign, letters = 1, list(outside)
+                    for places, (perm, sg) in zip(windows, placing):
+                        sign *= sg
+                        letters += [(p, x) for p, x in zip(places, perm) if x]
+                    letters.sort()
+                    if rep is None:  # the first order descends
+                        rep = tuple(letters)
+                    c = a.weigh(letters)
+                    total = fadd(total, c) if sign > 0 else fsub(total, c)
+                out[rep] = total
+        return out
 
 
 _WINDOWED = {"words": _WordWindows, "collisions": _CollisionWindows}
@@ -755,20 +886,56 @@ def _collision_rows_meeting(params: ConstructionParams, query: SpanQuery,
     letters there, else the swap row {s, s'}, s' being s with the two letters
     exchanged.  Rows may repeat; a row that meets no support word is
     missing, and a functional on the support vanishes on it anyway."""
-    k, L, d = query.level, query.length, query.degree
-    slots, N, one = params.slots(k), params.block(k), params.field.one
+    L, d, one = query.length, query.degree, params.field.one
+    windows = _window_slots(params, query.level, L)
     for s in support:
         if len(s) != L or sum(s) != d:
             continue
-        for m in range(0, L - N + 2, N):
-            for a, b in itertools.combinations(slots, 2):
-                i, j = m + a, m + b
+        for places in windows:
+            for i, j in itertools.combinations(places, 2):
                 if s[i] == s[j]:
                     yield {s: one}
                 else:
                     t = list(s)
                     t[i], t[j] = s[j], s[i]
                     yield {s: one, tuple(t): one}
+
+
+def _classes_vanish(params: ConstructionParams, query: SpanQuery, vec,
+                    classes: list) -> bool:
+    """Check a "classes" certificate from the slots alone: the listed
+    classes are distinct repeat-free classes of the `collisions` component,
+    as many as `_class_count` counts, so every one of them, and the signed
+    sum of vec over each one's placements, read through vec.get, is zero."""
+    L, d = query.length, query.degree
+    if len(set(classes)) != len(classes) or len(classes) != _class_count(
+            params, query.level, L, d):
+        return False
+    windows = _window_slots(params, query.level, L)
+    field = params.field
+    for rep in classes:
+        if not all(0 <= p < L and x > 0 for p, x in rep):
+            return False
+        w = list(_dense(L, rep))
+        if sum(w) != d or rep != tuple((p, w[p])
+                                       for p in itertools.compress(range(L), w)):
+            return False
+        chosen = [tuple(w[p] for p in places) for places in windows]
+        if any(list(s) != sorted(set(s), reverse=True) for s in chosen):
+            return False  # a repeat, or not the descending representative
+        total = field.zero
+        for placing in itertools.product(*map(_placings, chosen)):
+            sign = 1
+            for places, (perm, sg) in zip(windows, placing):
+                sign *= sg
+                for p, x in zip(places, perm):
+                    w[p] = x
+            c = vec.get(tuple(w))
+            if c:
+                total = field.add(total, c) if sign > 0 else field.sub(total, c)
+        if total:
+            return False
+    return True
 
 
 # -- membership oracle --------------------------------------------------------
@@ -778,7 +945,8 @@ class SpanOracle:
     """Answers membership with re-verifiable certificates: `words` and
     `collisions` queries by the windowed quotient, and every other space,
     and `collisions` member combinations, by one cached echelon per
-    query."""
+    query.  A lazy coefficient of (x0 X)^m is answered in `collisions` by
+    its repeat-free classes (`class_member`)."""
 
     def __init__(self, params: ConstructionParams, budgets: Budgets = DEFAULT_BUDGETS):
         self.params = params
@@ -842,16 +1010,51 @@ class SpanOracle:
             residue, _ = self.echelon(query).reduce(a.terms)
         return FreePoly(self.params.field, residue)
 
-    def verify(self, a: FreePoly, query: SpanQuery,
-               cert: MembershipCertificate) -> bool:
+    def class_sums(self, a, query: SpanQuery) -> dict:
+        """The normal form of a lazy coefficient (`ore.PowerCoefficient`) of
+        the query's component modulo `collisions`, as {class: signed sum}
+        over its repeat-free classes (`_CollisionWindows.class_sums`)."""
+        if query.space != "collisions":
+            raise ValueError(f"classes partition the collisions span, not "
+                             f"{query.space!r}")
+        if a.bigrade() != (query.length, query.degree):
+            raise ValueError(f"coefficient of component {a.bigrade()} queried "
+                             f"at ({query.length}, {query.degree})")
+        return self._engine(query).class_sums(query, a)
+
+    def class_member(self, a, query: SpanQuery) -> MembershipCertificate:
+        """Membership of a lazy coefficient in the `collisions` span from its
+        class sums, never materialising it.  When every sum vanishes (there
+        is none below degree h k(k+1)/2) the certificate lists the classes;
+        otherwise it is the windowed functional of the smallest word of the
+        normal form, which is all `_Windows.non_member` reads of it."""
+        sums = self.class_sums(a, query)
+        live = [rep for rep, c in sums.items() if c]
+        if not live:
+            return MembershipCertificate("classes", classes=list(sums))
+        z = min(live, key=_dense_order)
+        return self._engine(query).non_member(
+            {_dense(query.length, z): sums[z]}, query)
+
+    def verify(self, a, query: SpanQuery, cert: MembershipCertificate) -> bool:
         """Re-check a certificate against the regenerated spanning family,
         or, for a `collisions` functional, against the rows that meet its
-        support, built from the slots alone."""
+        support, built from the slots alone; a "classes" certificate is
+        recounted and its sums recomputed, also from the slots alone.  a is
+        a FreePoly or a lazy coefficient, which functionals and classes read
+        through `get` alone."""
+        lazy = not isinstance(a, FreePoly)
+        vec = a if lazy else a.terms
+        if cert.kind == "classes":
+            grades = {a.bigrade()} if lazy else set(map(word_stats, vec))
+            return (query.space == "collisions"
+                    and grades <= {(query.length, query.degree)}
+                    and _classes_vanish(self.params, query, vec, cert.classes))
         if query.space == "collisions" and cert.kind == "non_member":
             rows = _collision_rows_meeting(self.params, query, cert.functional)
         else:
             rows = span_rows(self.params, query, self.budgets, self._cores)
-        return cert.verify(self.params.field, a.terms, rows)
+        return cert.verify(self.params.field, vec, rows)
 
 
 # -- signed checkpoint reorder -------------------------------------------------

@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass, field as _dcfield
 from math import comb
 
-from .budgets import BudgetExceeded, Budgets, DEFAULT_BUDGETS
+from .budgets import Budgets, DEFAULT_BUDGETS
 from .construction import (
     ConstructionParams,
     ParamsError,
@@ -35,7 +35,12 @@ from .construction import (
 )
 from .fields import RationalField
 from .freealg import FreePoly, derive, word_to_text
-from .ore import expand_power, expand_power_window, is_ballot_word
+from .ore import (
+    PowerCoefficient,
+    expand_power,
+    expand_power_window,
+    is_ballot_word,
+)
 from .series import (
     InnerDerivation,
     coefficient_identity,
@@ -156,16 +161,23 @@ class CampaignReport:
 
 
 def _at_least(low: int, **knobs):
-    """Refuse a knob below its floor, or a sequence knob that is empty or
-    holds an entry below it, naming the knob: a zero-sized knob runs no
-    check, and a campaign must not pass on none."""
+    """Refuse an int knob that is no int or lies below its floor, naming the
+    knob: a zero-sized knob runs no check, and a campaign must not pass on
+    none."""
     for name, value in knobs.items():
-        if isinstance(value, int):
-            if value < low:
-                raise ValueError(f"{name} must be >= {low}, got {value}")
-        elif not value or min(value) < low:
-            raise ValueError(f"{name} must be non-empty with entries >= {low}, "
-                             f"got {list(value)}")
+        if not isinstance(value, int):
+            raise ValueError(f"{name} must be an int, got {value!r}")
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
+def _entries_at_least(low: int, **knobs):
+    """Refuse a sequence knob that is a bare int, is empty, or holds an entry
+    below the floor, naming the knob, as `_at_least` does."""
+    for name, value in knobs.items():
+        if isinstance(value, int) or not value or min(value) < low:
+            raise ValueError(f"{name} must be a non-empty sequence with "
+                             f"entries >= {low}, got {value!r}")
 
 
 def _params_dict(params: ConstructionParams) -> dict:
@@ -354,7 +366,7 @@ def verify_inclusions(params: ConstructionParams, k: int = 1, lengths=None,
     N = params.block(k)
     if lengths is None:
         lengths = (2 * N, 3 * N)
-    _at_least(2 * N, lengths=lengths)
+    _entries_at_least(2 * N, lengths=lengths)
     _at_least(0, degree_cap=degree_cap)
     rep = CampaignReport("inclusions", {**_params_dict(params), "level": k,
                                         "lengths": list(lengths),
@@ -429,7 +441,8 @@ def verify_products(params: ConstructionParams, k: int = 1, trials: int = 20,
     refused first.
     """
     params.slots(k)
-    _at_least(1, trials=trials, h_values=h_values)
+    _at_least(1, trials=trials)
+    _entries_at_least(1, h_values=h_values)
     field = params.field
     N = params.block(k)
     length = N - 1
@@ -489,62 +502,81 @@ def verify_products(params: ConstructionParams, k: int = 1, trials: int = 20,
 # -- escape of windowed coefficients ----------------------------------------------
 
 
-def _descend(params: ConstructionParams, k: int, h: int, oracle: SpanOracle,
-             budgets: Budgets = DEFAULT_BUDGETS):
-    """Expand (x0 X)^m for m = h*N - 1 and walk the window top-down until a
-    coefficient escapes the level-k collision span.
+def _window_cross_check(params: ConstructionParams, k: int, m: int,
+                        oracle: SpanOracle) -> bool:
+    """The descent's deliberate cross-check of the class route against the
+    expanded window: the coefficient oracle reproduces every term of a_m
+    and a_{m-1}, and SpanOracle.member, with its echelon for a member, gives
+    a_{m-1} the verdict the classes give, verified by SpanOracle.verify, and
+    for a non-member the same functional.  a_{m-1} holds m - 1 words of m
+    letters, so it is expanded only while m^2 stays within
+    max_component_dim; past that, as at (10,3,2), a_m alone is checked."""
+    field = params.field
+    top = m - 1 if m * m <= oracle.budgets.max_component_dim else m
+    window = expand_power_window(field, m, top)
+    ok = all(PowerCoefficient(field, m, t).get(w) == c
+             for t, p in window.items() for w, c in p.terms.items())
+    a = window[top]
+    q = SpanQuery("collisions", m, m - top, level=k)
+    cert = oracle.member(a, q)
+    by_classes = oracle.class_member(PowerCoefficient(field, m, top), q)
+    same = (cert.kind == "member" if by_classes.kind == "classes"
+            else cert == by_classes)
+    return ok and same and oracle.verify(a, q, cert)
 
-    The window is widened lazily: coefficients near the guaranteed-membership
-    floor have far too many terms to materialize at realistic block sizes,
-    while the escape sits within a few indices of the top, so each step
-    recomputes only the narrow window it needs.  The width budget turns
-    runaway descents into a clean refusal instead of memory exhaustion.
-    A degenerate level has no collision span to escape and is refused first.
+
+def _descend(params: ConstructionParams, k: int, h: int, oracle: SpanOracle):
+    """Walk the coefficients a_i of (x0 X)^m, m = h*N - 1, top-down until one
+    escapes the level-k collision span.
+
+    No coefficient is materialised: each a_i is a lazy `PowerCoefficient`,
+    certified from its repeat-free classes (`SpanOracle.class_member`).
+    Below degree h k(k+1)/2 there is no such class, so the whole component
+    lies in the span; the first nonzero class sum gives the escape its
+    functional.  The number of classes is capped by max_component_dim.  A
+    degenerate level has no collision span to escape and is refused first.
+    Returns (m, floor, escape, tail, agree): escape is (i, a_i, query,
+    certificate) or None, tail the same for each member above it, and agree
+    the outcome of `_window_cross_check`.
     """
     params.slots(k)
     field = params.field
-    N = params.block(k)
-    m = h * N - 1
+    m = h * params.block(k) - 1
     floor = (k + 2) * (m + 1) // (2 * (k + 1)) + 1
+    agree = _window_cross_check(params, k, m, oracle)
     tail = []
-    i = m
-    while i >= floor:
-        if m - i + 1 > budgets.max_expand_m:
-            raise BudgetExceeded(
-                f"escape descent window for m={m} reached width {m - i + 1} "
-                f"(budget {budgets.max_expand_m})",
-                max_expand_m=budgets.max_expand_m,
-            )
-        window = expand_power_window(field, m, i)
-        a = window[i]
+    for i in range(m, floor - 1, -1):
+        a = PowerCoefficient(field, m, i)
         q = SpanQuery("collisions", m, m - i, level=k)
-        cert = oracle.member(a, q)
+        cert = oracle.class_member(a, q)
         if cert.kind == "non_member":
-            return m, floor, i, a, q, cert, tail
+            return m, floor, (i, a, q, cert), tail, agree
         tail.append((i, a, q, cert))
-        i -= 1
-    return m, floor, None, None, None, None, tail
+    return m, floor, None, tail, agree
 
 
 def locate_escape(params: ConstructionParams, k: int = 1, h: int = 1,
                   budgets: Budgets = DEFAULT_BUDGETS) -> CampaignReport:
-    """Find the largest window coefficient of (x0 X)^(h*N-1) outside the
-    level-k collision span and check it beats the strict threshold
-    (k+2)(m+1) / (2(k+1)); coefficients above it are certified members.
+    """Find the largest coefficient of (x0 X)^(h*N-1) outside the level-k
+    collision span and check it beats the strict threshold
+    (k+2)(m+1) / (2(k+1)); every coefficient above it is a certified
+    member.  The coefficients are certified from their repeat-free classes
+    and never materialised (`_descend`), and every certificate, with the
+    window cross-check, is re-verified.
     """
     _at_least(1, h=h)
     field = params.field
     rep = CampaignReport("escape", {**_params_dict(params), "level": k, "h": h})
     oracle = SpanOracle(params, budgets)
-    m, floor, i, a, q, cert, tail = _descend(params, k, h, oracle, budgets)
-    if i is None:
+    m, floor, escape, tail, agree = _descend(params, k, h, oracle)
+    if escape is None:
         rep.add("a window coefficient escapes the collision span",
                 f"m={m}", False, {"floor": floor, "note": "no escape found"})
         return rep
+    i, a, q, cert = escape
     bound_strict = 2 * (k + 1) * i > (k + 2) * (m + 1)
-    ok = (bound_strict and oracle.verify(a, q, cert)
-          and all(c.kind == "member" for _, _, _, c in tail)
-          and all(oracle.verify(ta, tq, tc) for _, ta, tq, tc in tail[:3]))
+    ok = (bound_strict and agree and oracle.verify(a, q, cert)
+          and all(oracle.verify(ta, tq, tc) for _, ta, tq, tc in tail))
     rep.add("a window coefficient escapes the collision span",
             f"m={m}", ok,
             {"escape_index": i, "floor": floor,
@@ -587,15 +619,18 @@ def verify_counterexample(params: ConstructionParams, h_max: int = 2,
     rng = random.Random(seed)
     oracle = SpanOracle(params, budgets)
     for h in range(1, h_max + 1):
-        m, floor, i, a, q, cert, tail = _descend(params, k, h, oracle, budgets)
-        if i is None:
+        m, floor, escape, tail, agree = _descend(params, k, h, oracle)
+        if escape is None:
             rep.add("escape avoids the collision span", f"h={h}", False,
                     {"floor": floor})
             continue
-        ok = oracle.verify(a, q, cert)
+        i, a, q, cert = escape
+        ok = agree and oracle.verify(a, q, cert)
         rep.add("escape avoids the collision span", f"h={h}, ({m}, {m - i})",
                 ok, {"escape_index": i, "members_above": len(tail),
                      "certificate": summarize_certificate(field, cert)})
+        # the ideal echelon needs the escape written out
+        a = expand_power_window(field, m, i)[i]
         ideal_q = SpanQuery("ideal", m, m - i)
         icert = oracle.member(a, ideal_q)
         ok = icert.kind == "non_member" and oracle.verify(a, ideal_q, icert)
@@ -652,19 +687,21 @@ def verify_phi(params: ConstructionParams, kill_samples: int = 100,
     """The signed checkpoint reorder at the top level kills the top collision
     family, fixes checkpoint-sorted words, signs transpositions, and carries
     embedded lower-level collision elements to embedded collision elements.
+    The top level is the highest valid one; with none, the campaign raises
+    ParamsError.
     """
     _at_least(1, kill_samples=kill_samples, fix_samples=fix_samples,
               preserve_trials=preserve_trials)
     field = params.field
     k = max((j for j in range(1, params.k_max + 1) if params.level_valid(j)),
             default=None)
+    if k is None:
+        raise ParamsError(f"every level in 1..{params.k_max} is degenerate, so "
+                          "there is no level to reorder at")
     rep = CampaignReport("phi", {**_params_dict(params),
                                  "kill_samples": kill_samples,
                                  "fix_samples": fix_samples,
                                  "preserve_trials": preserve_trials}, seed=seed)
-    if k is None:
-        rep.add("a valid level exists for the reorder", "params", False, {})
-        return rep
     rng = random.Random(seed)
     length = params.block(k) - 1
     slots = params.slots(k)

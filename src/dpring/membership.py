@@ -45,12 +45,16 @@ class MembershipCertificate:
     kind "member": combination holds (index, coeff) pairs over the inserted
     vectors, indices in insertion order.  kind "non_member": functional maps
     words to scalars; it must vanish on every inserted vector and take the
-    value one on the query.
+    value one on the query.  kind "classes": a member of the `collisions`
+    span, certified by its repeat-free classes, listed in classes, all of
+    whose signed sums vanish; it is checked by `SpanOracle.verify`, which
+    knows the construction's slots.
     """
 
     kind: str
     combination: list[tuple[int, object]] | None = None
     functional: dict[tuple, object] | None = None
+    classes: list[tuple] | None = None
 
     def verify(self, field, query: dict, rows) -> bool:
         """Check the certificate by direct arithmetic against the family,
@@ -60,6 +64,9 @@ class MembershipCertificate:
         every index it names has been seen, and a missing index fails.  A
         functional must take the value one on the query and vanish on every
         row, so all rows are streamed (none when the query already fails).
+        The query is read only through `get` on the functional's support,
+        so a lazy coefficient (`ore.PowerCoefficient`) serves as well as a
+        dict of terms.
         """
         if self.kind == "member":
             needed = {idx for idx, _ in self.combination}
@@ -81,15 +88,17 @@ class MembershipCertificate:
             functional = self.functional
             fadd, fmul = field.add, field.mul
 
-            def value(vec):
+            def dot(vec, other):
+                """sum of vec[w] * other[w] over the support of vec"""
                 acc = field.zero
                 for w, v in vec.items():
-                    c = functional.get(w)
+                    c = other.get(w)
                     if c:
                         acc = fadd(acc, fmul(c, v))
                 return acc
 
-            return value(query) == field.one and not any(map(value, rows))
+            return (dot(functional, query) == field.one
+                    and not any(dot(row, functional) for row in rows))
         raise ValueError(f"unknown certificate kind {self.kind!r}")
 
 

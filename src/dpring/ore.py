@@ -12,12 +12,15 @@ Two expansion routes are provided for powers of (x0 X): `expand_power`
 multiplies out step by step through the generic product, `expand_power_window`
 writes the coefficients at or above a window floor in closed form, one
 binomial product per word.  They are deliberately independent so each can be
-checked against the other.
+checked against the other.  `PowerCoefficient` is a third, lazy route: one
+coefficient that is never materialised and weighs a single word on request
+with the window's closed form (`word_weight`).
 """
 
 from __future__ import annotations
 
 import re
+from itertools import compress
 from math import comb
 
 from .budgets import BudgetExceeded, DEFAULT_BUDGETS
@@ -26,10 +29,12 @@ from .freealg import FreePoly, ShiftDerivation, poly_from_text, poly_to_text
 
 __all__ = [
     "OrePoly",
+    "PowerCoefficient",
     "commute_past",
     "expand_power",
     "expand_power_window",
     "is_ballot_word",
+    "word_weight",
     "ore_to_text",
     "ore_from_text",
 ]
@@ -193,6 +198,51 @@ def expand_power_window(field, m: int, floor: int) -> dict[int, FreePoly]:
                 if wk:
                     stack.append((lead + (k,), deg + k, nk, wk))
     return {t: FreePoly(field, out[t]) for t in sorted(out, reverse=True)}
+
+
+def word_weight(letters) -> int:
+    """The integer weight of a word in (x0 X)^m, given by its nonzero letters
+    as (0-based position, letter) pairs in ascending position: the closed
+    form prod_s C(j_{s-1}, w_s) that `expand_power_window` writes, with
+    j_{s-1} the position less the letters before it.  Zero for a word that
+    is no ballot word."""
+    n, before = 1, 0
+    for p, x in letters:
+        j = p - before
+        if j < x:
+            return 0
+        n *= comb(j, x)
+        before += x
+    return n
+
+
+class PowerCoefficient:
+    """The coefficient a_t of X^t in (x0 X)^m, never materialised.
+
+    `weigh` gives the weight in the field of a word of its component given
+    by its nonzero letters (see `word_weight`); `get` reads one word like a
+    dict of the coefficient's terms does, None off its support.  So a
+    certificate is checked against it on the certificate's own words.
+    """
+
+    __slots__ = ("field", "m", "t")
+
+    def __init__(self, field, m: int, t: int):
+        self.field, self.m, self.t = field, m, t
+
+    def bigrade(self) -> tuple[int, int]:
+        """(length, degree) of every word of the coefficient."""
+        return self.m, self.m - self.t
+
+    def weigh(self, letters):
+        return self.field.from_int(word_weight(letters))
+
+    def get(self, word: tuple, default=None):
+        if len(word) != self.m or sum(word) != self.m - self.t:
+            return default
+        places = compress(range(self.m), word)
+        c = self.weigh((p, word[p]) for p in places)
+        return c if c else default
 
 
 def is_ballot_word(word: tuple) -> bool:

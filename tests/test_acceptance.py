@@ -199,11 +199,16 @@ def test_criterion_08_counterexample_and_local_nilpotency():
     escapes = [c.detail["escape_index"] for c in rep.checks
                if c.detail.get("escape_index") is not None]
     assert escapes == [8, 17]
-    # the full-size level >= 2 witness needs block length 10^4 and is out of
-    # computational reach; the mechanism is certified at h in {1, 2} instead
+    # the full-size level-2 witness, block length 10^4: certified from its
+    # class coefficients, a_9996 of (x0 X)^9999 escapes above 20000/3
+    rep2 = locate_escape(ConstructionParams(10, 3, 2, Q), k=2, h=1)
+    assert rep2.verdict == "pass", failed_checks(rep2)
+    [check] = rep2.checks
+    assert check.detail["escape_index"] == 9996
+    assert check.detail["members_above"] == 3
     watch.done("criterion 8 (counterexample)",
                f"escape indices {escapes}, 20 products reduced to zero; "
-               "level >= 2 at full size not reproducible")
+               "level 2 at full size: escape 9996 of m = 9999")
 
 
 def test_criterion_09_matrix_series_identities():

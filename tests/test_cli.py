@@ -297,6 +297,36 @@ def test_verify_unknown_campaign_is_3(capsys):
     assert code == 3
 
 
+def test_verify_knob_sets_the_escape_level(capsys, tmp_path):
+    cfg = write(tmp_path, "k2.cfg", "b = 10\nr = 3\nk_max = 2\n")
+    code, out, _ = run(capsys, ["verify", "--config", cfg, "--campaign",
+                                "escape", "--knob", "k=2"])
+    assert code == 0
+    [check] = json.loads(out)["checks"]
+    assert check["detail"]["escape_index"] == 9996
+
+
+def test_verify_knob_values(capsys):
+    # comma-separated ints make a sequence, a trailing comma one of one
+    code, out, _ = run(capsys, ["verify", "--campaign", "inclusions",
+                                "--knob", "lengths=20,", "--knob",
+                                "degree_cap=1"])
+    assert code == 0
+    assert json.loads(out)["parameters"]["lengths"] == [20]
+    for knob, status in (("hmax=2", 3),        # a name escape does not take
+                         ("h=1,2", 3),         # a sequence for an int
+                         ("h=two", 2), ("h", 2)):
+        code, _, err = run(capsys, ["verify", "--campaign", "escape",
+                                    "--knob", knob])
+        assert code == status, (knob, err)
+    code, _, err = run(capsys, ["verify", "--campaign", "inclusions",
+                                "--knob", "lengths=20"])
+    assert code == 3 and "lengths must be a non-empty sequence" in err
+    code, _, err = run(capsys, ["verify", "--campaign", "escape",
+                                "--knob", "h=1", "--knob", "h=2"])
+    assert code == 3 and "twice" in err
+
+
 def test_series_subcommand(capsys):
     code, out, _ = run(capsys, ["series", "--dim", "3", "--trials", "5"])
     assert code == 0

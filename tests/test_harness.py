@@ -14,6 +14,7 @@ from dpring.construction import (
 )
 from dpring.fields import PrimeField, RationalField
 from dpring.freealg import FreePoly
+from dpring.ore import expand_power_window
 from dpring.harness import (
     CAMPAIGNS,
     CampaignReport,
@@ -144,6 +145,46 @@ def test_locate_escape_small():
     assert found and found[0].detail["escape_index"] == 8
 
 
+def test_locate_escape_over_gf7_moves_down():
+    # the (3,2,2) class coefficient 63 vanishes over GF(7), so a_77 is a
+    # member there and the escape is a_76, at degree 4
+    rep = locate_escape(ConstructionParams(3, 2, 2, PrimeField(7)), k=2, h=1)
+    assert rep.verdict == "pass"
+    [check] = rep.checks
+    assert check.detail["escape_index"] == 76
+    assert check.detail["members_above"] == 4
+    assert check.detail["certificate"]["entries"] == 6
+
+
+def test_locate_escape_level_two_over_two_blocks():
+    # h = 2: two windows and a free separator letter; no class below degree
+    # h k(k+1)/2 = 6, and at 6 one class of 6 * 6 placements escapes
+    rep = locate_escape(ConstructionParams(3, 2, 2, Q), k=2, h=2)
+    assert rep.verdict == "pass"
+    [check] = rep.checks
+    assert (check.detail["escape_index"], check.detail["members_above"]) == (
+        155, 6)
+    assert check.detail["certificate"]["entries"] == 36
+
+
+def test_escape_descent_materialises_no_coefficient(monkeypatch):
+    # the one window the descent expands is the cross-check's: a_m and a_m-1
+    windows = []
+
+    def window(field, m, floor):
+        windows.append((m, floor))
+        return expand_power_window(field, m, floor)
+    monkeypatch.setattr(harness, "expand_power_window", window)
+    rep = locate_escape(ConstructionParams(3, 2, 2, Q), k=2, h=1)
+    assert rep.verdict == "pass"
+    assert windows == [(80, 79)]
+    # past max_component_dim letters, a_m alone
+    windows.clear()
+    rep = locate_escape(ConstructionParams(10, 3, 2, Q), k=2, h=1)
+    assert rep.verdict == "pass"
+    assert windows == [(9999, 9999)]
+
+
 def test_verify_counterexample():
     rep = verify_counterexample(P10, h_max=1, products=4, seed=0)
     assert rep.verdict == "pass"
@@ -185,7 +226,7 @@ def test_zero_sized_knobs_are_refused(name, knob, value):
 
 @pytest.mark.parametrize("name, knobs", [
     ("escape", {}), ("escape", {"k": 2}), ("counterexample", {}),
-    ("z_closure", {}), ("products", {}), ("inclusions", {}),
+    ("z_closure", {}), ("products", {}), ("inclusions", {}), ("phi", {}),
 ])
 def test_degenerate_level_is_refused(name, knobs, monkeypatch):
     # the escape descent refuses the level before it expands a window
