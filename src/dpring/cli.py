@@ -2,10 +2,9 @@
 
 Subcommands: ``expand`` (exact noncommutative power expansion), ``member``
 (span membership with a certificate), ``verify`` (named verification
-campaigns), ``params`` (checkpoint inspection and validation), and ``series``
-(the ``series`` campaign: matrix series identities).  All structured output
-is a single JSON document on standard output; progress and diagnostics go to
-standard error.
+campaigns, each knob set by ``--knob``), and ``params`` (checkpoint
+inspection and validation).  All structured output is a single JSON
+document on standard output; progress and diagnostics go to standard error.
 
 Exit statuses: 0 success, 1 campaign failure, 2 usage error (argparse),
 3 validation failure, 4 budget exceeded.
@@ -229,9 +228,8 @@ def cmd_member(args, cfg: RunConfig) -> int:
         return _fail(EXIT_VALIDATION, f"cannot read input {args.input!r}: {exc}",
                      cfg.output)
     poly = poly_from_text(field, text)
-    space = SPACE_LETTERS[args.space]
-    level = None if space == "ideal" else args.k
-    query = SpanQuery(space, args.length, args.degree, level=level)
+    query = SpanQuery(SPACE_LETTERS[args.space], args.length, args.degree,
+                      level=args.k)
     oracle = SpanOracle(cfg.params, budgets=cfg.budgets)
     print(f"member: querying {args.space} at length {args.length} "
           f"degree {args.degree}", file=sys.stderr)
@@ -240,7 +238,7 @@ def cmd_member(args, cfg: RunConfig) -> int:
     doc = {
         "schema": "dpring.member/1",
         "space": args.space,
-        "level": level,
+        "level": args.k,
         "length": args.length,
         "degree": args.degree,
         "input": poly_to_text(poly),
@@ -270,12 +268,9 @@ def _knob(text: str) -> tuple[str, object]:
 
 def cmd_verify(args, cfg: RunConfig) -> int:
     name = args.campaign
-    if args.command == "series":
-        knobs = {"dimension": args.dim, "trials": args.trials}
-    else:
-        knobs = dict(args.knob)
-        if len(knobs) != len(args.knob):
-            raise ValueError("a knob is given twice")
+    knobs = dict(args.knob)
+    if len(knobs) != len(args.knob):
+        raise ValueError("a knob is given twice")
     print(f"verify: campaign {name} with seed {cfg.seed}", file=sys.stderr)
     report = harness.run_campaign(name, cfg.params, seed=cfg.seed,
                                   include_timing=args.timing,
@@ -317,10 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the config seed")
     common.add_argument("--output", metavar="FILE", default=None,
                         help="write the JSON document here instead of stdout")
-    # only the campaign runners time anything
-    timed = argparse.ArgumentParser(add_help=False)
-    timed.add_argument("--timing", action="store_true",
-                       help="include wall-clock timings in reports")
 
     parser = argparse.ArgumentParser(
         prog="dpring",
@@ -342,13 +333,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="file holding one polynomial in text form")
     p.add_argument("--space", required=True, choices=sorted(SPACE_LETTERS),
                    help="span family to query")
-    p.add_argument("--k", type=int, default=None, help="construction level")
+    p.add_argument("--k", type=int, default=None,
+                   help="construction level (none for space I)")
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--degree", type=int, required=True)
     p.set_defaults(func=cmd_member)
 
-    p = sub.add_parser("verify", parents=[common, timed],
+    p = sub.add_parser("verify", parents=[common],
                        help="run a named verification campaign")
+    p.add_argument("--timing", action="store_true",
+                   help="include wall-clock timings in reports")
     p.add_argument("--campaign", required=True, metavar="NAME",
                    help="one of: " + ", ".join(harness.CAMPAIGNS))
     p.add_argument("--knob", type=_knob, action="append", default=[],
@@ -363,13 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--validate", action="store_true",
                    help="fail (status 3) when any level is degenerate")
     p.set_defaults(func=cmd_params)
-
-    p = sub.add_parser("series", parents=[common, timed],
-                       help="run the series campaign (matrix series identities "
-                            "on random input)")
-    p.add_argument("--dim", type=int, default=3, help="matrix dimension")
-    p.add_argument("--trials", type=int, default=25)
-    p.set_defaults(func=cmd_verify, campaign="series")
 
     return parser
 

@@ -72,8 +72,8 @@ windows) and capped by `Budgets.max_component_dim`, then walked
 a non-member gets the windowed functional of the smallest word of the
 normal form, built by the same `non_member` as any other.
 `SpanOracle.verify` recounts a "classes" certificate, recomputes each sum
-through the query's `get`, and checks a functional against a lazy
-coefficient on the functional's own support.
+by its own walk, reading each placement by its nonzero letters, and checks
+a functional against a lazy coefficient on the functional's own support.
 
 A level is degenerate when its checkpoints are not strictly increasing
 (r^k >= b^(2k-1)).  Its checkpoints then mark no well-defined positions: two
@@ -165,9 +165,6 @@ class ConstructionParams:
         self.require_level(k)
         return tuple(c - 1 for c in self.checkpoints(k)[1 : k + 2])
 
-    def invalid_levels(self) -> list[int]:
-        return [k for k in range(1, self.k_max + 1) if not self.level_valid(k)]
-
     def require_level(self, k: int):
         self._check_level(k)
         if not self.level_valid(k):
@@ -179,9 +176,8 @@ class ConstructionParams:
 
     def validate(self):
         """Raise unless every level up to k_max has monotone checkpoints."""
-        bad = self.invalid_levels()
-        if bad:
-            self.require_level(bad[0])
+        for k in range(1, self.k_max + 1):
+            self.require_level(k)
 
 
 # -- word enumeration ---------------------------------------------------------
@@ -901,12 +897,13 @@ def _collision_rows_meeting(params: ConstructionParams, query: SpanQuery,
                     yield {s: one, tuple(t): one}
 
 
-def _classes_vanish(params: ConstructionParams, query: SpanQuery, vec,
+def _classes_vanish(params: ConstructionParams, query: SpanQuery, weigh,
                     classes: list) -> bool:
     """Check a "classes" certificate from the slots alone: the listed
     classes are distinct repeat-free classes of the `collisions` component,
     as many as `_class_count` counts, so every one of them, and the signed
-    sum of vec over each one's placements, read through vec.get, is zero."""
+    sum of weigh (a word read by its nonzero letters) over each one's
+    placements is zero."""
     L, d = query.length, query.degree
     if len(set(classes)) != len(classes) or len(classes) != _class_count(
             params, query.level, L, d):
@@ -914,13 +911,11 @@ def _classes_vanish(params: ConstructionParams, query: SpanQuery, vec,
     windows = _window_slots(params, query.level, L)
     field = params.field
     for rep in classes:
-        if not all(0 <= p < L and x > 0 for p, x in rep):
+        w = dict(rep)  # place -> letter; a slot may come to hold a zero
+        if (tuple(sorted(w.items())) != rep or sum(w.values()) != d
+                or not all(0 <= p < L and x > 0 for p, x in rep)):
             return False
-        w = list(_dense(L, rep))
-        if sum(w) != d or rep != tuple((p, w[p])
-                                       for p in itertools.compress(range(L), w)):
-            return False
-        chosen = [tuple(w[p] for p in places) for places in windows]
+        chosen = [tuple(w.get(p, 0) for p in places) for places in windows]
         if any(list(s) != sorted(set(s), reverse=True) for s in chosen):
             return False  # a repeat, or not the descending representative
         total = field.zero
@@ -928,9 +923,8 @@ def _classes_vanish(params: ConstructionParams, query: SpanQuery, vec,
             sign = 1
             for places, (perm, sg) in zip(windows, placing):
                 sign *= sg
-                for p, x in zip(places, perm):
-                    w[p] = x
-            c = vec.get(tuple(w))
+                w.update(zip(places, perm))
+            c = weigh(tuple(sorted((p, x) for p, x in w.items() if x)))
             if c:
                 total = field.add(total, c) if sign > 0 else field.sub(total, c)
         if total:
@@ -990,6 +984,9 @@ class SpanOracle:
         return False
 
     def member(self, a: FreePoly, query: SpanQuery) -> MembershipCertificate:
+        """A "member" or "non_member" certificate, never "classes", which
+        has no functional: `perfbench/spans.py` counts cert.functional for
+        every kind but "member"."""
         if self._check_query_input(a, query):
             return MembershipCertificate("member", combination=[])
         if query.space in _WINDOWED:
@@ -1010,25 +1007,23 @@ class SpanOracle:
             residue, _ = self.echelon(query).reduce(a.terms)
         return FreePoly(self.params.field, residue)
 
-    def class_sums(self, a, query: SpanQuery) -> dict:
-        """The normal form of a lazy coefficient (`ore.PowerCoefficient`) of
-        the query's component modulo `collisions`, as {class: signed sum}
-        over its repeat-free classes (`_CollisionWindows.class_sums`)."""
+    def class_member(self, a, query: SpanQuery) -> MembershipCertificate:
+        """Membership of a lazy coefficient (`ore.PowerCoefficient`) of the
+        query's component in the `collisions` span, from its class sums
+        (`_CollisionWindows.class_sums`), never materialising it.  When
+        every sum vanishes (there is none below degree h k(k+1)/2) the
+        certificate lists the classes; otherwise it is the windowed
+        functional of the smallest word of the normal form, which is all
+        `_Windows.non_member` reads of it."""
         if query.space != "collisions":
             raise ValueError(f"classes partition the collisions span, not "
                              f"{query.space!r}")
+        if a.field != self.params.field:
+            raise ValueError("query coefficient is over the wrong field")
         if a.bigrade() != (query.length, query.degree):
             raise ValueError(f"coefficient of component {a.bigrade()} queried "
                              f"at ({query.length}, {query.degree})")
-        return self._engine(query).class_sums(query, a)
-
-    def class_member(self, a, query: SpanQuery) -> MembershipCertificate:
-        """Membership of a lazy coefficient in the `collisions` span from its
-        class sums, never materialising it.  When every sum vanishes (there
-        is none below degree h k(k+1)/2) the certificate lists the classes;
-        otherwise it is the windowed functional of the smallest word of the
-        normal form, which is all `_Windows.non_member` reads of it."""
-        sums = self.class_sums(a, query)
+        sums = self._engine(query).class_sums(query, a)
         live = [rep for rep, c in sums.items() if c]
         if not live:
             return MembershipCertificate("classes", classes=list(sums))
@@ -1041,15 +1036,25 @@ class SpanOracle:
         or, for a `collisions` functional, against the rows that meet its
         support, built from the slots alone; a "classes" certificate is
         recounted and its sums recomputed, also from the slots alone.  a is
-        a FreePoly or a lazy coefficient, which functionals and classes read
-        through `get` alone."""
+        a FreePoly or a lazy coefficient, read through `get` by functionals
+        and through `weigh` by classes; it has no terms for a member
+        combination to sum to.  a over another field fails."""
+        if a.field != self.params.field:
+            return False
         lazy = not isinstance(a, FreePoly)
         vec = a if lazy else a.terms
         if cert.kind == "classes":
-            grades = {a.bigrade()} if lazy else set(map(word_stats, vec))
+            if lazy:
+                grades, weigh = {a.bigrade()}, a.weigh
+            else:
+                grades = set(map(word_stats, vec))
+                weigh = {tuple((p, x) for p, x in enumerate(w) if x): c
+                         for w, c in vec.items()}.get
             return (query.space == "collisions"
                     and grades <= {(query.length, query.degree)}
-                    and _classes_vanish(self.params, query, vec, cert.classes))
+                    and _classes_vanish(self.params, query, weigh, cert.classes))
+        if lazy and cert.kind == "member":
+            return False
         if query.space == "collisions" and cert.kind == "non_member":
             rows = _collision_rows_meeting(self.params, query, cert.functional)
         else:

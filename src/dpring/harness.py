@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass, field as _dcfield
 from math import comb
 
-from .budgets import Budgets, DEFAULT_BUDGETS
+from .budgets import BudgetExceeded, Budgets, DEFAULT_BUDGETS
 from .construction import (
     ConstructionParams,
     ParamsError,
@@ -192,7 +192,8 @@ def _params_dict(params: ConstructionParams) -> dict:
 # -- ballot words in powers of the shifted generator ---------------------------
 
 
-def verify_ballot(field=None, m_max: int = 8) -> CampaignReport:
+def verify_ballot(field=None, m_max: int = 8,
+                  budgets: Budgets = DEFAULT_BUDGETS) -> CampaignReport:
     """Expand (x0 X)^m for m <= m_max and audit the coefficient structure.
 
     Checked per m: the top coefficient is x0^m and the constant one is zero;
@@ -200,13 +201,17 @@ def verify_ballot(field=None, m_max: int = 8) -> CampaignReport:
     position) of degree m - t; the distinct monomials across all t number the
     m-th Catalan number; and the windowed expansion agrees with the full one.
     The converse (every ballot word appears with nonzero coefficient) is
-    reported informationally.
+    reported informationally.  An m_max over max_expand_m is refused before
+    any expansion.
     """
     _at_least(0, m_max=m_max)
+    if m_max > budgets.max_expand_m:
+        raise BudgetExceeded(f"ballot refused for m_max={m_max} "
+                             f"(budget {budgets.max_expand_m})", m=m_max)
     field = field or RationalField()
     rep = CampaignReport("ballot", {"field": field_label(field), "m_max": m_max})
     for m in range(0, m_max + 1):
-        full = expand_power(field, m, max_expand_m=max(m_max, 16))
+        full = expand_power(field, m, max_expand_m=budgets.max_expand_m)
         window = expand_power_window(field, m, 0)
         ok = True
         detail: dict = {}

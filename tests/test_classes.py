@@ -1,6 +1,8 @@
 """The escape descent from class coefficients: the coefficient oracle, the
 repeat-free class walk of the `collisions` span, its "classes" certificate,
 and functionals checked against coefficients that are never materialised."""
+import time
+
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -98,7 +100,7 @@ def test_class_route_matches_the_expanded_window(case):
         by_classes = oracle.class_member(lazy, q)
         expanded = oracle.member(a, q)
         assert (by_classes.kind == "classes") == (expanded.kind == "member"), i
-        sums = oracle.class_sums(lazy, q)
+        sums = oracle._engine(q).class_sums(q, lazy)
         assert {dense(m, rep): c for rep, c in sums.items() if c} == (
             oracle.normal_form(a, q).terms)
         if expanded.kind == "non_member":
@@ -119,7 +121,8 @@ def test_class_coefficient_at_the_first_repeat_free_degree(params, coefficient):
     # its (k+1)! = 6 orders
     m = params.block(2) - 1
     q = SpanQuery("collisions", m, 3, level=2)
-    sums = SpanOracle(params).class_sums(PowerCoefficient(Q, m, m - 3), q)
+    sums = SpanOracle(params)._engine(q).class_sums(
+        q, PowerCoefficient(Q, m, m - 3))
     [(rep, c)] = sums.items()
     assert abs(c) == coefficient
     assert [x for _, x in rep] == [2, 1]  # x2, x1, and x0 unwritten
@@ -160,7 +163,7 @@ def test_class_count_matches_enumeration(params, k, lengths, degrees):
             q = SpanQuery("collisions", L, d, level=k)
             h, found = repeat_free_classes(params, k, L, d)
             assert _class_count(params, k, L, d) == len(found), (L, d)
-            sums = oracle.class_sums(PowerCoefficient(Q, L, L - d), q)
+            sums = oracle._engine(q).class_sums(q, PowerCoefficient(Q, L, L - d))
             assert {dense(L, rep) for rep in sums} == found
             if d < h * k * (k + 1) // 2:
                 assert not found  # the class lemma
@@ -224,6 +227,61 @@ def test_classes_certificate_with_a_class_dropped_is_refused():
         forged = MembershipCertificate("classes", classes=dropped)
         assert not oracle.verify(lazy, q, forged)
         assert not oracle.verify(a, q, forged)
+
+
+def test_classes_certificate_at_full_block_length_checks_in_seconds():
+    # 9,997 classes in words of 9,999 letters: each placement is read by its
+    # nonzero letters, never written out as a word
+    params = ConstructionParams(10, 3, 2, PrimeField(2))
+    q = SpanQuery("collisions", 9999, 4, level=2)
+    lazy = PowerCoefficient(params.field, 9999, 9995)
+    oracle = SpanOracle(params)
+    cert = oracle.class_member(lazy, q)
+    assert cert.kind == "classes" and len(cert.classes) == 9997
+    start = time.perf_counter()
+    assert oracle.verify(lazy, q, cert)
+    assert time.perf_counter() - start < 5
+
+
+def test_member_never_gives_a_classes_certificate():
+    # perfbench's tracer counts cert.functional for every kind but "member"
+    params = ConstructionParams(10, 3, 1, PrimeField(2))
+    oracle = SpanOracle(params)
+    q = SpanQuery("collisions", 19, 3, level=1)
+    assert oracle.class_member(PowerCoefficient(params.field, 19, 16),
+                               q).kind == "classes"
+    for t, a in expand_power_window(params.field, 19, 15).items():
+        q = SpanQuery("collisions", 19, 19 - t, level=1)
+        assert oracle.member(a, q).kind in ("member", "non_member"), t
+
+
+# -- coefficients over another field ---------------------------------------------------
+
+
+P1031 = ConstructionParams(10, 3, 1, Q)
+Q92 = SpanQuery("collisions", 9, 2, level=1)
+REPEAT = (1, 0, 1, 0, 0, 0, 0, 0, 0)  # x1 on both level-1 slots
+
+
+def test_verify_refuses_a_polynomial_over_another_field():
+    oracle = SpanOracle(P1031)
+    cert = oracle.member(FreePoly.monomial(Q, REPEAT), Q92)
+    assert cert.kind == "member"
+    assert oracle.verify(FreePoly.monomial(Q, REPEAT), Q92, cert)
+    assert not oracle.verify(FreePoly.monomial(PrimeField(7), REPEAT), Q92, cert)
+
+
+def test_class_member_refuses_a_coefficient_over_another_field():
+    with pytest.raises(ValueError, match="wrong field"):
+        SpanOracle(P1031).class_member(PowerCoefficient(PrimeField(7), 9, 7), Q92)
+
+
+def test_verify_refuses_a_member_combination_for_a_lazy_coefficient():
+    # a combination is checked against every term, and a lazy coefficient
+    # lists none
+    oracle = SpanOracle(P1031)
+    cert = oracle.member(FreePoly.monomial(Q, REPEAT), Q92)
+    assert not oracle.verify(PowerCoefficient(Q, 9, 7), Q92, cert)
 
 
 # -- functionals against lazy coefficients -------------------------------------------

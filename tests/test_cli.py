@@ -214,6 +214,15 @@ def test_member_space_letters(capsys, tmp_path):
     assert doc["kind"] == "member" and doc["level"] is None
 
 
+def test_member_ideal_refuses_a_level(capsys, tmp_path):
+    # the truncated ideal spans every fitting level: --k is refused, not dropped
+    poly = write(tmp_path, "p.txt", "1*" + ".".join(["x0"] * 20))
+    code, out, _ = run(capsys, ["member", "--input", poly, "--space", "I",
+                                "--k", "1", "--length", "20", "--degree", "0"])
+    assert code == 3
+    assert "takes no level" in json.loads(out)["error"]
+
+
 def test_member_words_non_member(capsys, tmp_path):
     # each window segment x1.x0^9 is no pivot of its window span
     stray = write(tmp_path, "w.txt", "1*" + ".".join((["x1"] + ["x0"] * 9) * 2))
@@ -280,7 +289,7 @@ def test_member_missing_input_is_3(capsys):
     assert code == 3
 
 
-# -- verify / series ------------------------------------------------------------------
+# -- verify ----------------------------------------------------------------------------
 
 
 def test_verify_ballot_passes(capsys):
@@ -328,32 +337,45 @@ def test_verify_knob_values(capsys):
 
 
 def test_series_subcommand(capsys):
-    code, out, _ = run(capsys, ["series", "--dim", "3", "--trials", "5"])
+    # the series campaign runs through verify alone; the subcommand is gone
+    code, out, _ = run(capsys, ["verify", "--campaign", "series", "--knob",
+                                "dimension=3", "--knob", "trials=5"])
     assert code == 0
     doc = json.loads(out)
     assert doc["campaign"] == "series" and doc["verdict"] == "pass"
+    code, _, err = run(capsys, ["series", "--dim", "3", "--trials", "5"])
+    assert code == 2 and "invalid choice: 'series'" in err
 
 
 def test_series_refuses_zero_sized_knobs(capsys):
-    for flags, knob in ((["--trials", "0"], "trials"), (["--dim", "1"], "dimension")):
-        code, out, _ = run(capsys, ["series", *flags])
+    for knob in ("trials=0", "dimension=1"):
+        code, out, _ = run(capsys, ["verify", "--campaign", "series",
+                                    "--knob", knob])
         assert code == 3
-        assert json.loads(out)["error"].startswith(f"{knob} must be >= ")
-
-
-def test_series_is_the_series_campaign(capsys):
-    code, via_series, _ = run(capsys, ["series", "--seed", "9"])
-    assert code == 0
-    _, via_verify, _ = run(capsys, ["verify", "--campaign", "series", "--seed", "9"])
-    assert via_series == via_verify
+        name = knob.split("=")[0]
+        assert json.loads(out)["error"].startswith(f"{name} must be >= ")
 
 
 def test_series_over_gf(capsys, tmp_path):
     cfg = write(tmp_path, "gf.cfg", "field = gf\nprime = 5\n")
-    code, out, _ = run(capsys, ["series", "--dim", "3", "--trials", "5",
+    code, out, _ = run(capsys, ["verify", "--campaign", "series", "--knob",
+                                "dimension=3", "--knob", "trials=5",
                                 "--config", cfg])
     assert code == 0
     assert json.loads(out)["parameters"]["field"] == "gf(5)"
+
+
+def test_ballot_knob_is_held_to_the_expansion_budget(capsys, tmp_path):
+    cfg = write(tmp_path, "m4.cfg", "max_expand_m = 4\n")
+    code, _, _ = run(capsys, ["verify", "--campaign", "ballot", "--knob",
+                              "m_max=4", "--config", cfg])
+    assert code == 0
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["verify", "--campaign", "ballot", "--knob",
+                                "m_max=5", "--config", cfg])
+    assert time.perf_counter() - start < 1  # refused before any expansion
+    assert code == 4
+    assert "budget 4" in json.loads(out)["error"]
 
 
 # -- output and determinism --------------------------------------------------------------
@@ -384,5 +406,6 @@ def test_timing_flag_adds_elapsed(capsys):
 def test_timing_flag_only_on_campaign_runners(capsys):
     code, _, _ = run(capsys, ["expand", "--m", "2", "--timing"])
     assert code == 2
-    _, timed, _ = run(capsys, ["series", "--trials", "2", "--timing"])
+    _, timed, _ = run(capsys, ["verify", "--campaign", "series", "--knob",
+                               "trials=2", "--timing"])
     assert "elapsed_s" in json.loads(timed)

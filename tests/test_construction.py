@@ -63,18 +63,16 @@ def test_blocks_and_checkpoints():
 
 def test_level_validity():
     assert P10.level_valid(1)
-    assert P10.invalid_levels() == []
     P10.validate()
     # (2,2,2): the level-1 checkpoints [0,1,2,2] stall, level 2 is fine
     assert P222.checkpoints(1) == [0, 1, 2, 2]
     assert not P222.level_valid(1)
     assert P222.checkpoints(2) == [0, 2, 4, 8, 16]
     assert P222.level_valid(2)
-    assert P222.invalid_levels() == [1]
     with pytest.raises(ParamsError):
         P222.require_level(1)
     P222.require_level(2)
-    with pytest.raises(ParamsError):
+    with pytest.raises(ParamsError, match="level 1 is degenerate"):
         P222.validate()
 
 
@@ -88,8 +86,10 @@ def test_validity_matches_inequality():
 
 def test_ratio_above_base_breaks_both_levels():
     p = ConstructionParams(2, 3, 2, Q)
-    assert p.invalid_levels() == [1, 2]
-    with pytest.raises(ParamsError, match="not strictly increasing"):
+    assert not p.level_valid(1) and not p.level_valid(2)
+    # validate names the lowest degenerate level
+    with pytest.raises(ParamsError,
+                       match="level 1 is degenerate.*not strictly increasing"):
         p.validate()
 
 
