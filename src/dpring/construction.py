@@ -110,6 +110,7 @@ __all__ = [
     "SpanQuery",
     "SPACES",
     "span_rows",
+    "span_blocks",
     "SpanOracle",
     "signed_reorder_word",
     "signed_reorder",
@@ -372,16 +373,14 @@ class SpanQuery:
 
 def _alphabet_cores(params, k, n, cache, l, dw):
     """Term dicts of D^l(w) for the words w of length n and degree dw over
-    x0..x_{k-1}, memoized in the oracle's shared cache."""
+    x0..x_{k-1}, in `words_iter` order, memoized in the oracle's shared
+    cache.  None is zero: l derivations on one letter give coefficient 1."""
     key = (k, n, dw, l)
     got = cache.get(key)
     if got is None:
-        got = []
-        for w in words_iter(n, dw, max_letter=k - 1):
-            p = derive_iter(FreePoly.monomial(params.field, w), l)
-            if not p.is_zero():
-                got.append(p.terms)
-        cache[key] = got
+        got = cache[key] = [
+            derive_iter(FreePoly.monomial(params.field, w), l).terms
+            for w in words_iter(n, dw, max_letter=k - 1)]
     return got
 
 
@@ -497,6 +496,26 @@ def span_rows(params: ConstructionParams, query: SpanQuery,
         _, _, cores = _level_family(params, query.space, k, query.length,
                                     budgets, cache)
         yield from _block_rows(cores, blocks)
+
+
+def span_blocks(params: ConstructionParams, query: SpanQuery,
+                budgets: Budgets = DEFAULT_BUDGETS, _cache: dict | None = None):
+    """The row blocks of a `words` or `ideal_level` family in row order,
+    laid out and refused over max_basis_size as by `span_rows`, though no
+    row is built: (key, cores, rows, count) per block, key (len u, deg u, l,
+    deg w), cores the (w, D^l(w)) of its cores, rows() its rows in row order
+    and count their number."""
+    if query.space not in ("words", "ideal_level"):
+        raise ValueError(f"no alphabet cores in {query.space!r}")
+    cache = {} if _cache is None else _cache
+    [(k, _, blocks)] = _layout(params, query, budgets, cache)
+    core_len, _, cores = _level_family(params, query.space, k, query.length,
+                                       budgets, cache)
+    for key, (_, n_cores, n_v, _, _) in blocks.items():
+        words = words_iter(core_len, key[3], max_letter=k - 1)
+        yield (key, list(zip(words, cores(*key[2:]))),
+               partial(_block_rows, cores, {key: blocks[key]}),
+               count_words(*key[:2]) * n_cores * n_v)
 
 
 # -- the block-aligned spans, window by window --------------------------------

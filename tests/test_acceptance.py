@@ -153,6 +153,8 @@ def test_criterion_04_inclusions_at_small_scale():
     params = ConstructionParams(10, 3, 1, Q)
     rep = verify_inclusions(params, k=1, lengths=(20, 30), degree_cap=4)
     assert rep.verdict == "pass", failed_checks(rep)
+    rows = [c.detail["rows"] for c in rep.checks if c.component == "(30, 4)"]
+    assert rows == [11_011, 31_878]  # ideal rows, then word rows
     watch.done("criterion 4 (inclusions)",
                "ideal generators at lengths 20 and 30, degree <= 4")
 

@@ -140,6 +140,17 @@ def test_budget_exceeded_is_4(capsys):
     assert json.loads(out)["schema"] == "dpring.error/1"
 
 
+def test_inclusions_family_over_max_basis_size_is_4(capsys, tmp_path):
+    # the (30, 3) ideal_level family has 3,146 rows: counted, never built,
+    # and refused one row over the budget
+    cfg = write(tmp_path, "tight.cfg", "max_basis_size = 3145\n")
+    code, out, _ = run(capsys, ["verify", "--campaign", "inclusions",
+                                "--config", cfg, "--knob", "lengths=30,",
+                                "--knob", "degree_cap=3"])
+    assert code == 4
+    assert "3146 rows" in json.loads(out)["error"]
+
+
 # -- expand ------------------------------------------------------------------------
 
 
