@@ -372,6 +372,11 @@ def main(argv: list[str] | None = None) -> int:
                               output_override=args.output)
     except ConfigError as exc:
         return _fail(EXIT_VALIDATION, str(exc))
+    try:  # tried before any work; the error goes to stdout
+        if cfg.output:
+            open(cfg.output, "a", encoding="utf-8").close()
+    except OSError as exc:
+        return _fail(EXIT_VALIDATION, f"cannot write output: {exc}")
     try:
         return args.func(args, cfg)
     except BudgetExceeded as exc:

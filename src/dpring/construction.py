@@ -27,14 +27,15 @@ positions, so the order is fixed: level, left length, deg u, l, core letter
 degree, then u, core and v, words in `words_iter` order and collision cores
 in `collision_elements` order.
 
-One layout (`_layout`) walks these row blocks for every space and counts
-them without building a row: a block holds (words u) * (cores) * (words v)
-rows, the alphabet cores taken from the shared cache and the collision
-cores counted by `_collision_count`.  So it knows the family size and each
-block's first row index before a row exists.  A family over
-`Budgets.max_basis_size` is refused there, before enumeration, whichever
-engine answers the query; `words` member certificates take their row
-indices from the same blocks.
+`_blocks` alone places a level's cores (core length and starts, from
+`block`, `base` and `slots`) and `_cores` alone builds them, memoized in the
+shared cache.  One layout (`_layout`) walks the row blocks of every space
+over those starts and counts them without building a row: a block holds
+(words u) * (cores) * (words v) rows, collision cores counted by
+`_collision_count`.  So it knows the family size and each block's first row
+index before a row exists.  A family over `Budgets.max_basis_size` is
+refused there, before enumeration, whichever engine answers the query;
+`words` member certificates take their row indices from the same blocks.
 
 `words` and `collisions` membership need no echelon of the family.  Their
 rows put the core on one block-aligned window and change no letter outside
@@ -46,7 +47,7 @@ free.  One walker (`_Windows`) reduces a query one pass per window,
 replacing each segment that is a pivot of S by its residue, and builds a
 non-member functional e_z o P / r[z] as the product of one functional per
 window with z's other letters kept.  Each space supplies the residues and
-functionals of its segments: for `words` a tiny echelon of the window cores
+functionals of its segments: for `words` an echelon of the one-block family
 per degree, whose replacements also index a member's rows through the
 layout's blocks; for `collisions` the closed form, a segment that repeats a
 slot letter being zero and any other its slot letters sorted descending
@@ -371,58 +372,48 @@ class SpanQuery:
             raise ValueError(f"space {self.space!r} needs a level >= 1")
 
 
-def _alphabet_cores(params, k, n, cache, l, dw):
-    """Term dicts of D^l(w) for the words w of length n and degree dw over
-    x0..x_{k-1}, in `words_iter` order, memoized in the oracle's shared
-    cache.  None is zero: l derivations on one letter give coefficient 1."""
-    key = (k, n, dw, l)
-    got = cache.get(key)
-    if got is None:
-        got = cache[key] = [
-            derive_iter(FreePoly.monomial(params.field, w), l).terms
-            for w in words_iter(n, dw, max_letter=k - 1)]
-    return got
-
-
-def _collision_cores(params, k, budgets, cache, l, dz):
-    """Term dicts of the level-k collision elements of degree dz, memoized
-    in the oracle's shared cache.  Collision rows carry no derivative, so
-    only l = 0 has cores."""
-    if l:
-        return ()
-    key = ("collisions", k, dz)
-    got = cache.get(key)
-    if got is None:
-        one = params.field.one
-        got = cache[key] = [{w: one for w in z.words}
-                            for z in collision_elements(params, k, dz, budgets)]
-    return got
-
-
-def _level_family(params, space, k, L, budgets, cache):
-    """(core_len, lefts, cores) of the level-k rows of a space at length L:
-    u runs over the lengths in lefts, each leaving room for the core, and
-    cores(l, dc) lists the cores of derivative order l and letter degree
-    dc."""
+def _blocks(params, space, k, L):
+    """(core length, core starts) of the level-k rows of a space at length
+    L, from `block`, `base` and `slots` alone: a core starts at a multiple
+    of N, except a two-block ideal core, anywhere.  `ideal` reads levels past
+    k_max; `collisions` is refused on a degenerate level, even with no start.
+    """
     N = params.base ** (k * k) if space == "ideal" else params.block(k)
-    # cores start at multiples of N, except two-block ideal cores: anywhere
     if space == "collisions":
-        params.slots(k)  # refused on a degenerate level, even with no window
+        params.slots(k)
         core_len, stride = N - 1, N
-        cores = partial(_collision_cores, params, k, budgets, cache)
     else:
         core_len, stride = (N, N) if space == "words" else (2 * N, 1)
-        cores = partial(_alphabet_cores, params, k, core_len, cache)
-    return core_len, range(0, L - core_len + 1, stride), cores
+    return core_len, range(0, L - core_len + 1, stride)
+
+
+def _cores(params, space, k, budgets, cache, l, dc):
+    """Term dicts of the level-k cores of a space of derivative order l and
+    letter degree dc, memoized in the shared cache: collision elements in
+    `collisions`, whose rows carry no derivative, else D^l(w) for the words
+    w over x0..x_{k-1} of the core length in `words_iter` order, none zero:
+    l derivations on one letter give coefficient 1."""
+    core_len, _ = _blocks(params, space, k, 0)
+    key = (k, core_len, dc, l)
+    got = cache.get(key)
+    if got is None:
+        if space == "collisions":
+            got = [dict.fromkeys(z.words, params.field.one)
+                   for z in collision_elements(params, k, dc, budgets)]
+        else:
+            got = [derive_iter(FreePoly.monomial(params.field, w), l).terms
+                   for w in words_iter(core_len, dc, max_letter=k - 1)]
+        cache[key] = got
+    return got
 
 
 def _layout(params, query: SpanQuery, budgets: Budgets, cache: dict):
     """The row blocks of every level of the query's family, counted in
     closed form and refused over `max_basis_size` before a row is built.
 
-    Returns (k, lefts, blocks) per level: the core offsets, and a dict from
-    (len_u, du, l, dc), in row order, to (start, n_cores, n_v, len_v, dv).
-    The block's rows u * core * v nest u, core, v, so the one with the
+    Returns (k, starts, blocks) per level: the starts of `_blocks` and a dict
+    from (len_u, du, l, dc), in row order, to (start, n_cores, n_v, len_v,
+    dv).  The block's rows u * core * v nest u, core, v, so the one with the
     i-th core has index start + (rank u * n_cores + i) * n_v + rank v.
     Memoized in the shared cache; the budgets are checked on every call.
     """
@@ -440,30 +431,31 @@ def _layout(params, query: SpanQuery, budgets: Budgets, cache: dict):
             ks = (query.level,)
         levels, total = [], 0
         for k in ks:
-            core_len, lefts, cores = _level_family(params, space, k, L, budgets,
-                                                   cache)
+            core_len, starts = _blocks(params, space, k, L)
             blocks = {}
-            for len_u in lefts:
+            for len_u in starts:
                 len_v = L - core_len - len_u
                 for du in range(d + 1):
                     n_u = count_words(len_u, du)
                     if not n_u:
                         continue
-                    for l in range(d - du + 1):
+                    # collision rows carry no derivative
+                    for l in range(1 if space == "collisions" else d - du + 1):
                         for dc in range(d - du - l + 1):
                             dv = d - du - l - dc
                             n_v = count_words(len_v, dv)
                             if not n_v:
                                 continue
                             if space == "collisions":
-                                n_cores = 0 if l else _collision_count(params, k, dc)
+                                n_cores = _collision_count(params, k, dc)
                             else:
-                                n_cores = len(cores(l, dc))
+                                n_cores = len(_cores(params, space, k, budgets,
+                                                     cache, l, dc))
                             if n_cores:
                                 blocks[len_u, du, l, dc] = (total, n_cores, n_v,
                                                             len_v, dv)
                                 total += n_u * n_cores * n_v
-            levels.append((k, lefts, blocks))
+            levels.append((k, starts, blocks))
         got = cache[key] = (levels, total)
     levels, total = got
     if total > budgets.max_basis_size:
@@ -493,9 +485,8 @@ def span_rows(params: ConstructionParams, query: SpanQuery,
     for k, _, blocks in _layout(params, query, budgets, cache):
         # the memoized layout keeps no core function, so no reference to the
         # cache that holds it
-        _, _, cores = _level_family(params, query.space, k, query.length,
-                                    budgets, cache)
-        yield from _block_rows(cores, blocks)
+        yield from _block_rows(
+            partial(_cores, params, query.space, k, budgets, cache), blocks)
 
 
 def span_blocks(params: ConstructionParams, query: SpanQuery,
@@ -509,8 +500,8 @@ def span_blocks(params: ConstructionParams, query: SpanQuery,
         raise ValueError(f"no alphabet cores in {query.space!r}")
     cache = {} if _cache is None else _cache
     [(k, _, blocks)] = _layout(params, query, budgets, cache)
-    core_len, _, cores = _level_family(params, query.space, k, query.length,
-                                       budgets, cache)
+    core_len, _ = _blocks(params, query.space, k, query.length)
+    cores = partial(_cores, params, query.space, k, budgets, cache)
     for key, (_, n_cores, n_v, _, _) in blocks.items():
         words = words_iter(core_len, key[3], max_letter=k - 1)
         yield (key, list(zip(words, cores(*key[2:]))),
@@ -550,25 +541,20 @@ class _Windows:
         # window segment -> None when it is no pivot, else its residue items
         self._segments: dict[tuple, tuple | None] = {}
 
-    def _windows(self, lefts) -> list[tuple[int, int, int]]:
-        """(block start, window start, window end) of the window of each
-        block start."""
-        a, b = self.window
-        return [(m, m + a, m + b) for m in lefts]
-
     def reduce(self, vec: dict, query: SpanQuery) -> tuple[dict, list]:
         """Normal form of vec, and, when `records` is set, the words whose
         window segment was replaced, as (block start, word, coefficient) in
         order.  The blocks come from the layout, which refuses the family
         like `span_rows` refuses it."""
-        [(_, lefts, _)] = _layout(self.params, query, self.budgets, self.cache)
-        windows = self._windows(lefts)
-        if not windows:
+        [(_, starts, _)] = _layout(self.params, query, self.budgets, self.cache)
+        if not starts:
             return dict(vec), []
         fadd, fmul = self.params.field.add, self.params.field.mul
         memo, records = self._segments.get, self.records
+        a, b = self.window
         replaced = []
-        for m, lo, hi in windows:
+        for m in starts:
+            lo, hi = m + a, m + b
             out: dict = {}
             hits = []
             for x, c in vec.items():
@@ -610,9 +596,11 @@ class _Windows:
         fmul = field.mul
         z = min(residue, key=word_key)
         functional = {z: field.inv(residue[z])}
-        _, lefts, _ = _level_family(self.params, query.space, query.level,
-                                    query.length, self.budgets, self.cache)
-        for _, lo, hi in self._windows(lefts):
+        _, starts = _blocks(self.params, query.space, query.level,
+                            query.length)
+        a, b = self.window
+        for m in starts:
+            lo, hi = m + a, m + b
             phi = self._functional(z[lo:hi])
             functional = {w[:lo] + s + w[hi:]: fmul(c, f)
                           for w, c in functional.items() for s, f in phi.items()}
@@ -621,10 +609,10 @@ class _Windows:
 
 class _WordWindows(_Windows):
     """The level-k `words` span: the window is the whole block [m, m + N),
-    and S_d is spanned by the window cores D^l(w) with l + deg w = d.  A tiny
-    echelon of S_d per degree gives each segment's residue and functional,
-    and a member's certificate lists the rows u * core * v its replacements
-    subtracted."""
+    and S_d is the `words` family of one block at degree d, spanned by the
+    cores D^l(w) with l + deg w = d.  A tiny echelon of S_d per degree gives
+    each segment's residue and functional, and a member's certificate lists
+    the rows u * core * v its replacements subtracted."""
 
     records = True
 
@@ -638,17 +626,18 @@ class _WordWindows(_Windows):
         self._combinations: dict[tuple, list] = {}
 
     def _echelon(self, d: int) -> tuple[Echelon, list]:
-        """Echelon of S_d and the (l, core index) each of its rows came from."""
+        """Echelon of S_d, the `words` family of one block, and the (l, core
+        index) each of its rows came from."""
         got = self._window_echelons.get(d)
         if got is None:
-            origin, rows = [], []
-            for l in range(d + 1):
-                found = _alphabet_cores(self.params, self.k, self.window[1],
-                                        self.cache, l, d - l)
-                origin.extend((l, i) for i in range(len(found)))
-                rows.extend(found)
+            query = SpanQuery("words", self.window[1], d, level=self.k)
+            [(_, _, blocks)] = _layout(self.params, query, self.budgets,
+                                       self.cache)
+            # one block start and no letter around the core: a block per l
+            origin = [(l, i) for (_, _, l, _), (_, n_cores, _, _, _)
+                      in blocks.items() for i in range(n_cores)]
             ech = Echelon(self.params.field)
-            ech.extend(rows)
+            ech.extend(span_rows(self.params, query, self.budgets, self.cache))
             got = self._window_echelons[d] = (ech, origin)
         return got
 
@@ -721,8 +710,9 @@ def _partitions(n: int, parts: int) -> int:
 def _window_slots(params: ConstructionParams, k: int, L: int) -> list[tuple]:
     """The word indices of the slots of each level-k window of a word of
     length L, one tuple per block, from `slots` and `block` alone."""
-    slots, N = params.slots(k), params.block(k)
-    return [tuple(m + s for s in slots) for m in range(0, L - N + 2, N)]
+    slots = params.slots(k)
+    _, starts = _blocks(params, "collisions", k, L)
+    return [tuple(m + s for s in slots) for m in starts]
 
 
 def _class_count(params: ConstructionParams, k: int, L: int, d: int) -> int:

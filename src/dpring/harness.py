@@ -98,6 +98,8 @@ def summarize_certificate(field, cert) -> dict:
                 str(i): field.format(c) for i, c in cert.combination
             }
         return out
+    if cert.kind == "classes":
+        return {"kind": "classes", "entries": len(cert.classes)}
     out = {"kind": "non_member", "entries": len(cert.functional)}
     if len(cert.functional) <= INLINE_CERT_LIMIT:
         out["functional"] = {

@@ -401,6 +401,20 @@ def test_output_file(capsys, tmp_path):
     assert doc["m"] == 2
 
 
+@pytest.mark.parametrize("argv", [["params"], ["verify", "--campaign", "ballot"]])
+def test_unwritable_output_is_refused_before_any_work(capsys, tmp_path, argv):
+    target = str(tmp_path / "missing" / "out.json")
+    cfg = write(tmp_path, "out.cfg", f"output = {target}\n")
+    for flags in (["--output", target], ["--config", cfg]):
+        code, out, err = run(capsys, argv + flags)
+        assert code == 3
+        doc = json.loads(out)  # on stdout, as the path takes nothing
+        assert doc["schema"] == "dpring.error/1" and doc["status"] == 3
+        assert "cannot write output" in doc["error"]
+        assert "verify:" not in err  # no campaign started
+    assert not (tmp_path / "missing").exists()
+
+
 def test_same_seed_byte_identical(capsys):
     _, out1, _ = run(capsys, ["verify", "--campaign", "series", "--seed", "9"])
     _, out2, _ = run(capsys, ["verify", "--campaign", "series", "--seed", "9"])

@@ -14,7 +14,7 @@ from dpring.construction import (
 )
 from dpring.fields import PrimeField, RationalField
 from dpring.freealg import FreePoly
-from dpring.ore import expand_power_window
+from dpring.ore import PowerCoefficient, expand_power_window
 from dpring.harness import (
     CAMPAIGNS,
     CampaignReport,
@@ -86,6 +86,19 @@ def test_summarize_certificate_inline_policy():
     assert summary2["kind"] == "non_member"
     assert "functional" in summary2
     assert all(isinstance(k, str) for k in summary2["functional"])
+
+
+@pytest.mark.parametrize("field, t, degree, entries", [
+    (Q, 79, 1, 0),  # below degree k(k+1)/2 = 3 there is no class
+    (PrimeField(7), 77, 3, 1),  # the one class sum, 63, vanishes mod 7
+])
+def test_summarize_certificate_counts_classes(field, t, degree, entries):
+    cert = SpanOracle(ConstructionParams(3, 2, 2, field)).class_member(
+        PowerCoefficient(field, 80, t), SpanQuery("collisions", 80, degree,
+                                                  level=2))
+    assert cert.kind == "classes"
+    assert summarize_certificate(field, cert) == {"kind": "classes",
+                                                  "entries": entries}
 
 
 # -- individual campaigns (small knobs) ---------------------------------------------

@@ -1,7 +1,7 @@
 """Package surface: every exported name resolves, no private name crosses
 a module boundary, no private module-level name goes unread in its module,
 no function binds a local it never reads, one function reads the family
-budget, and the README's examples run."""
+budget, one builds the span cores, and the README's examples run."""
 import ast
 import collections
 import contextlib
@@ -146,6 +146,20 @@ def test_one_function_reads_the_basis_budget():
                              if isinstance(node, ast.Attribute)
                              and node.attr == "max_basis_size")
     assert found == allowed
+
+
+def test_one_function_builds_the_span_cores():
+    # a span's cores, the derivatives D^l(w) and the collision elements,
+    # are built and memoized in one place that every row, layout and window
+    # echelon reads; a second builder would be a second row order
+    tree = dict(parsed())["construction.py"]
+    found = {getattr(scope, "name", type(scope).__name__)
+             for scope in ast.walk(tree)
+             if isinstance(scope, (ast.Module, *SCOPES))
+             for node in _own_nodes(scope)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+             and node.id in ("derive_iter", "collision_elements")}
+    assert found == {"_cores"}
 
 
 def _fenced(heading: str, lang: str) -> str:
