@@ -53,10 +53,14 @@ layout's blocks; for `collisions` the closed form, a segment that repeats a
 slot letter being zero and any other its slot letters sorted descending
 times the sign of the sort, with the signed class indicator as functional.
 `SpanOracle.verify` checks a `collisions` functional against the rows that
-meet its support, built from the slots alone.  `collisions` member
-combinations still come from the echelon of the family, whose row indices
-the reports pin; for the rest that echelon is the deliberate cross-check
-(`SpanOracle.echelon`).
+meet its support, built from the slots alone.  A `collisions` member's
+combination, whose row indices the reports pin, comes from the classes its
+words belong to: every row lies inside one class, so the generic echelon is
+block-diagonal by class, and an echelon of those classes' rows, taken in
+family order, gives the same combination; each named row is ranked back to
+its family index in closed form (`_collision_rank`, `_row_index`).  The
+echelon of the whole family (`SpanOracle.echelon`) is the deliberate
+cross-check, which `member` reads once it is held.
 
 A coefficient of (x0 X)^m too large to write out is answered in
 `collisions` lazily (`ore.PowerCoefficient`), through its classes.  A class
@@ -242,9 +246,11 @@ def count_words(length: int, degree: int) -> int:
 
 def _word_rank(word: tuple) -> int:
     """Position of the word in `words_iter(len(word), sum(word))`: the words
-    before it share a prefix with it and then carry a smaller letter."""
+    before it share a prefix with it and then carry a smaller letter, so
+    only its nonzero letters count."""
     rank, rem, n = 0, sum(word), len(word)
-    for i, x in enumerate(word):
+    for i in itertools.compress(range(n), word):
+        x = word[i]
         for t in range(x):
             rank += count_words(n - i - 1, rem - t)
         rem -= x
@@ -414,7 +420,8 @@ def _layout(params, query: SpanQuery, budgets: Budgets, cache: dict):
     Returns (k, starts, blocks) per level: the starts of `_blocks` and a dict
     from (len_u, du, l, dc), in row order, to (start, n_cores, n_v, len_v,
     dv).  The block's rows u * core * v nest u, core, v, so the one with the
-    i-th core has index start + (rank u * n_cores + i) * n_v + rank v.
+    i-th core has index start + (rank u * n_cores + i) * n_v + rank v
+    (`_row_index`).
     Memoized in the shared cache; the budgets are checked on every call.
     """
     space, L, d = query.space, query.length, query.degree
@@ -464,6 +471,13 @@ def _layout(params, query: SpanQuery, budgets: Budgets, cache: dict):
             f"{budgets.max_basis_size} (component dimension {dim})",
             component_dimension=dim, family_size=total)
     return levels
+
+
+def _row_index(blocks, u: tuple, l: int, dc: int, i: int, v: tuple) -> int:
+    """Index of the row u * (the i-th core of order l and degree dc) * v in
+    its family, from the row blocks of `_layout`."""
+    start, n_cores, n_v, _, _ = blocks[len(u), sum(u), l, dc]
+    return start + (_word_rank(u) * n_cores + i) * n_v + _word_rank(v)
 
 
 def _block_rows(cores, blocks):
@@ -669,11 +683,9 @@ class _WordWindows(_Windows):
         combo: dict[int, object] = {}
         for m, x, c in replaced:
             u, seg, v = x[:m], x[m:m + N], x[m + N:]
-            du, dseg = sum(u), sum(seg)
-            rank_u, rank_v = _word_rank(u), _word_rank(v)
+            dseg = sum(seg)
             for (l, i), a in self._combinations[seg]:
-                start, n_cores, n_v, _, _ = blocks[m, du, l, dseg - l]
-                idx = start + (rank_u * n_cores + i) * n_v + rank_v
+                idx = _row_index(blocks, u, l, dseg - l, i, v)
                 cur = combo.get(idx)
                 cv = fmul(c, a)
                 combo[idx] = cv if cur is None else fadd(cur, cv)
@@ -732,17 +744,64 @@ def _class_count(params: ConstructionParams, k: int, L: int, d: int) -> int:
                for t in range(d + 1))
 
 
+def _collision_split(params: ConstructionParams, k: int, degree: int):
+    """The loops of `collision_elements(params, k, degree)`, counted without
+    enumerating an element: the number of repeats, the words minus the
+    repeat-free ones, each class filling the slots n! ways, and {(hi, lo):
+    swaps of one slot pair with those letters}, in element order; every
+    slot pair has the same swaps."""
+    length = params.block(k) - 1
+    distinct = factorial(k + 1) * _class_count(params, k, length, degree)
+    return count_words(length, degree) - distinct, {
+        (hi, lo): count_words(length - 2, degree - hi - lo)
+        for hi in range(1, degree + 1)
+        for lo in range(min(hi - 1, degree - hi) + 1)}
+
+
 def _collision_count(params: ConstructionParams, k: int, degree: int) -> int:
-    """len(list(collision_elements(params, k, degree))), counted from its
-    loops without enumerating an element: the repeat words are the words
-    minus the repeat-free ones, each class filling the slots n! ways, and
-    every slot pair has the same number of swaps."""
-    n, length = k + 1, params.block(k) - 1
-    distinct = factorial(n) * _class_count(params, k, length, degree)
-    swaps = sum(count_words(length - 2, degree - hi - lo)
-                for hi in range(1, degree + 1)
-                for lo in range(min(hi - 1, degree - hi) + 1))
-    return count_words(length, degree) - distinct + comb(n, 2) * swaps
+    """len(list(collision_elements(params, k, degree))), in closed form."""
+    repeats, swaps = _collision_split(params, k, degree)
+    return repeats + comb(k + 1, 2) * sum(swaps.values())
+
+
+def _distinct_fills(taken: set, j: int, free: int, e: int) -> int:
+    """Words of letter total e on j slots and `free` other places whose slot
+    letters are distinct and none of them in `taken`."""
+    return factorial(j) * sum(
+        count_words(free, e - sum(s)) for s in itertools.combinations(
+            [t for t in range(e + 1) if t not in taken], j))
+
+
+def _collision_rank(params: ConstructionParams, k: int, key: tuple) -> int:
+    """Position of a level-k collision element in `collision_elements`
+    order, in closed form, from its key: (0, word) for a repeat, (1, slot
+    pair index, hi, lo, rest) for a swap.  The repeats come first, in word
+    order: the words before the word less the repeat-free ones, counted
+    prefix by prefix on its nonzero letters and its slots.  The swaps follow
+    by slot pair, letter pair and rest."""
+    n = params.block(k) - 1
+    if key[0]:
+        _, pair, hi, lo, rest = key
+        repeats, swaps = _collision_split(params, k, hi + lo + sum(rest))
+        before = itertools.takewhile(lambda hl: hl != (hi, lo), swaps)
+        return (repeats + pair * sum(swaps.values())
+                + sum(map(swaps.get, before)) + _word_rank(rest))
+    word = key[1]
+    slots = params.slots(k)
+    rem, left, taken, distinct = sum(word), len(slots), set(), 0
+    for i in sorted(set(itertools.compress(range(n), word)).union(slots)):
+        x, slot = word[i], i in slots
+        left -= slot  # the slots after i
+        for t in range(x):
+            if not (slot and t in taken):
+                distinct += _distinct_fills(taken | {t} if slot else taken,
+                                            left, n - i - 1 - left, rem - t)
+        rem -= x
+        if slot:
+            if x in taken:  # every later word of this prefix repeats
+                break
+            taken.add(x)
+    return _word_rank(word) - distinct
 
 
 def _sprinkle(places: list, e: int, start: int = 0):
@@ -788,13 +847,23 @@ class _CollisionWindows(_Windows):
     of its class under `word_key`, the one that is no pivot of the generic
     echelon.  The functional of a sorted segment is the signed indicator of
     its class.  `slots` refuses a degenerate level, which has no window.
+
+    Every row also lies inside one class, the words reachable by permuting
+    the slot letters within each window, so the generic echelon is
+    block-diagonal by class.  A member's combination comes from an echelon
+    of only the rows inside its words' classes, one per query, filled class
+    by class.
     """
 
     def __init__(self, params: ConstructionParams, k: int, budgets: Budgets,
                  cache: dict):
         slots = params.slots(k)
         super().__init__(params, budgets, cache, (slots[0], slots[-1] + 1))
+        self.k = k
         self.slots = tuple(s - slots[0] for s in slots)
+        # query -> (echelon of the rows of the classes held, each row's sort
+        # key by echelon index, the words of those classes)
+        self._class_echelons: dict[SpanQuery, tuple[Echelon, list, set]] = {}
         # a window has k + 1 >= 2 slots, so the getter returns a tuple
         self.letters = itemgetter(*self.slots)
         one = params.field.one
@@ -821,6 +890,77 @@ class _CollisionWindows(_Windows):
     def _functional(self, seg: tuple) -> dict:
         return {self._place(seg, p): self.signs[sign]
                 for p, sign in _placings(self.letters(seg))}
+
+    def _class_rows(self, x: tuple, windows: list, blocks: dict, held: set):
+        """(key, row) of every family row inside the class of x, its words
+        added to held: for each word y of the class and each window, the
+        repeat row {y} when y repeats a slot letter there, and a swap row
+        {y, y'} for each slot pair where y carries the smaller letter, y'
+        exchanging the two.  The key, (block start, u, core key, v), the core
+        key (0, core) for a repeat and (1, slot pair index, hi, lo, rest)
+        for a swap, sorts rows in index order: `words_iter` ranks the words
+        of one length and degree lexicographically."""
+        one, size = self.params.field.one, self.params.block(self.k) - 1
+        pairs = list(enumerate(itertools.combinations(range(len(self.slots)),
+                                                      2)))
+        held.add(x)
+        todo = [x]
+        while todo:
+            y = todo.pop()
+            for m, places in windows:
+                u, core, v = y[:m], y[m:m + size], y[m + size:]
+                start = blocks[m, sum(u), 0, sum(core)][0]
+                letters = [y[p] for p in places]
+                if len(set(letters)) < len(letters):
+                    yield (start, u, (0, core), v), {y: one}
+                for pair, (i, j) in pairs:
+                    lo, hi = letters[i], letters[j]
+                    if lo == hi:
+                        continue
+                    z = list(y)
+                    z[places[i]], z[places[j]] = hi, lo
+                    z = tuple(z)
+                    if z not in held:
+                        held.add(z)
+                        todo.append(z)
+                    if lo < hi:
+                        a, b = places[i] - m, places[j] - m
+                        rest = core[:a] + core[a + 1:b] + core[b + 1:]
+                        yield (start, u, (1, pair, hi, lo, rest), v), {y: one,
+                                                                      z: one}
+
+    def member(self, vec: dict, query: SpanQuery) -> MembershipCertificate:
+        """The combination the generic echelon gives a member, with the same
+        row indices.  The query's echelon takes in the rows of each class of
+        vec's words it does not hold yet, single-term rows first, then the
+        rest, each in index order, as `Echelon.extend` takes in the family;
+        rows of other classes never meet these, so the elimination is the
+        family's restricted to the classes.  Only the rows the combination
+        names are ranked, through `_collision_rank` and `_row_index`."""
+        [(_, starts, blocks)] = _layout(self.params, query, self.budgets,
+                                        self.cache)
+        got = self._class_echelons.get(query)
+        if got is None:
+            got = self._class_echelons[query] = (
+                Echelon(self.params.field), [], set())
+        ech, keys, held = got
+        windows = list(zip(starts, _window_slots(self.params, self.k,
+                                                 query.length)))
+        new = []
+        for x in vec:
+            if x not in held:
+                new += self._class_rows(x, windows, blocks, held)
+        new.sort(key=lambda item: (len(item[1]) > 1, item[0]))
+        for key, row in new:
+            ech.insert(row, len(keys))
+            keys.append(key)
+        combination = []
+        for i, c in ech.certificate(vec).combination:
+            _, u, core, v = keys[i]
+            rank = _collision_rank(self.params, self.k, core)
+            combination.append((_row_index(
+                blocks, u, 0, query.degree - sum(u) - sum(v), rank, v), c))
+        return MembershipCertificate("member", combination=sorted(combination))
 
     def class_sums(self, query: SpanQuery, a) -> dict:
         """The normal form of a lazy coefficient a (`ore.PowerCoefficient`)
@@ -946,16 +1086,17 @@ def _classes_vanish(params: ConstructionParams, query: SpanQuery, weigh,
 
 class SpanOracle:
     """Answers membership with re-verifiable certificates: `words` and
-    `collisions` queries by the windowed quotient, and every other space,
-    and `collisions` member combinations, by one cached echelon per
-    query.  A lazy coefficient of (x0 X)^m is answered in `collisions` by
-    its repeat-free classes (`class_member`)."""
+    `collisions` queries by the windowed quotient, a `collisions` member's
+    combination by an echelon of the classes its words meet, and every other
+    space by one cached echelon of the family per query.  A lazy coefficient
+    of (x0 X)^m is answered in `collisions` by its repeat-free classes
+    (`class_member`)."""
 
     def __init__(self, params: ConstructionParams, budgets: Budgets = DEFAULT_BUDGETS):
         self.params = params
         self.budgets = budgets
         self._echelons: dict[SpanQuery, Echelon] = {}
-        self._cores: dict = {}
+        self._cache: dict = {}  # layouts and cores, filled by `_cores`
         self._engines: dict[tuple[str, int], _Windows] = {}
 
     def _engine(self, query: SpanQuery) -> _Windows:
@@ -963,18 +1104,19 @@ class SpanOracle:
         got = self._engines.get(key)
         if got is None:
             got = self._engines[key] = _WINDOWED[query.space](
-                self.params, query.level, self.budgets, self._cores)
+                self.params, query.level, self.budgets, self._cache)
         return got
 
     def echelon(self, query: SpanQuery) -> Echelon:
-        """The generic echelon of the query's family.  `words` queries are
-        answered without it, and so are `collisions` queries except for
-        member combinations; for them it is the deliberate cross-check that
-        the tests reach."""
+        """The generic echelon of the query's family.  `words` and
+        `collisions` queries are answered without it; for them it is the
+        deliberate cross-check, which the tests and the harness's named
+        cross-checks build explicitly.  A `collisions` member's combination
+        is read from it once it is held."""
         ech = self._echelons.get(query)
         if ech is None:
             ech = Echelon(self.params.field)
-            ech.extend(span_rows(self.params, query, self.budgets, self._cores))
+            ech.extend(span_rows(self.params, query, self.budgets, self._cache))
             self._echelons[query] = ech
         return ech
 
@@ -1005,6 +1147,8 @@ class SpanOracle:
                 return engine.non_member(residue, query)
             if query.space == "words":
                 return engine.member(replaced, query)
+            if query not in self._echelons:
+                return engine.member(a.terms, query)
         return self.echelon(query).certificate(a.terms)
 
     def normal_form(self, a: FreePoly, query: SpanQuery) -> FreePoly:
@@ -1067,7 +1211,7 @@ class SpanOracle:
         if query.space == "collisions" and cert.kind == "non_member":
             rows = _collision_rows_meeting(self.params, query, cert.functional)
         else:
-            rows = span_rows(self.params, query, self.budgets, self._cores)
+            rows = span_rows(self.params, query, self.budgets, self._cache)
         return cert.verify(self.params.field, vec, rows)
 
 

@@ -381,8 +381,10 @@ def verify_inclusions(params: ConstructionParams, k: int = 1, lengths=None,
     unproved core are reduced one by one, so `failures` is exact.  `rows` is
     counted by the layout, which refuses a family over max_basis_size though
     it builds no row.  The first ideal row of each component is certified in
-    both spans and re-verified against the regenerated families.  Each length
-    must fit an ideal core, 2N; a degenerate level is refused first.
+    both spans and re-verified against the regenerated families, its
+    `collisions` combination read from the generic echelon of the family,
+    the named cross-check of the class route.  Each length must fit an
+    ideal core, 2N; a degenerate level is refused first.
     """
     params.slots(k)
     field = params.field
@@ -436,6 +438,9 @@ def verify_inclusions(params: ConstructionParams, k: int = 1, lengths=None,
                 # a regenerated family
                 a = FreePoly(field, row)
                 cert_w = oracle.member(a, words_q)
+                # the named generic cross-check: the family echelon, whose
+                # combination `member` then reads
+                oracle.echelon(coll_q)
                 cert_b = oracle.member(a, coll_q)
                 bad += not (cert_w.kind == "member" and cert_b.kind == "member"
                             and oracle.verify(a, words_q, cert_w)
@@ -553,11 +558,12 @@ def _window_cross_check(params: ConstructionParams, k: int, m: int,
                         oracle: SpanOracle) -> bool:
     """The descent's deliberate cross-check of the class route against the
     expanded window: the coefficient oracle reproduces every term of a_m
-    and a_{m-1}, and SpanOracle.member, with its echelon for a member, gives
-    a_{m-1} the verdict the classes give, verified by SpanOracle.verify, and
-    for a non-member the same functional.  a_{m-1} holds m - 1 words of m
-    letters, so it is expanded only while m^2 stays within
-    max_component_dim; past that, as at (10,3,2), a_m alone is checked."""
+    and a_{m-1}, and SpanOracle.member, reading the generic family echelon
+    built here for a member's combination, gives a_{m-1} the verdict the
+    classes give, verified by SpanOracle.verify, and for a non-member the
+    same functional.  a_{m-1} holds m - 1 words of m letters, so it is
+    expanded only while m^2 stays within max_component_dim; past that, as
+    at (10,3,2), a_m alone is checked."""
     field = params.field
     top = m - 1 if m * m <= oracle.budgets.max_component_dim else m
     window = expand_power_window(field, m, top)
@@ -565,6 +571,7 @@ def _window_cross_check(params: ConstructionParams, k: int, m: int,
              for t, p in window.items() for w, c in p.terms.items())
     a = window[top]
     q = SpanQuery("collisions", m, m - top, level=k)
+    oracle.echelon(q)
     cert = oracle.member(a, q)
     by_classes = oracle.class_member(PowerCoefficient(field, m, top), q)
     same = (cert.kind == "member" if by_classes.kind == "classes"

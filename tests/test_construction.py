@@ -399,6 +399,11 @@ def test_word_rank_inverts_words_iter():
         for degree in range(5):
             for i, w in enumerate(words_iter(length, degree)):
                 assert _word_rank(w) == i
+    # long sparse words, like the cores and v words at (80, d): only the
+    # nonzero letters are visited
+    for degree in range(1, 4):
+        for i, w in enumerate(words_iter(80, degree)):
+            assert _word_rank(w) == i
 
 
 WORDS_FIELDS = (Q, PrimeField(2), PrimeField(3), PrimeField(7))
@@ -611,8 +616,8 @@ def test_collision_quotient_matches_the_echelon(case, seed):
             forged_checks.append((a, forgery, local))
     # the support-local rows come from the slots alone: a poisoned core cache
     # changes nothing
-    for key in list(oracle._cores):
-        oracle._cores[key] = []
+    for key in list(oracle._cache):
+        oracle._cache[key] = []
     for a, forgery, local in forged_checks:
         assert oracle.verify(a, q, forgery) == local
 
