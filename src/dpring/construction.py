@@ -56,11 +56,12 @@ times the sign of the sort, with the signed class indicator as functional.
 meet its support, built from the slots alone.  A `collisions` member's
 combination, whose row indices the reports pin, comes from the classes its
 words belong to: every row lies inside one class, so the generic echelon is
-block-diagonal by class, and an echelon of those classes' rows, taken in
-family order, gives the same combination; each named row is ranked back to
-its family index in closed form (`_collision_rank`, `_row_index`).  The
-echelon of the whole family (`SpanOracle.echelon`) is the deliberate
-cross-check, which `member` reads once it is held.
+block-diagonal by class, and an echelon of those classes' rows, filled in
+family order through `Echelon.extend`, gives the same combination; each
+named row is ranked back to its family index in closed form
+(`_collision_rank`, `_row_index`).  `member` reads the echelon of the whole
+family (`SpanOracle.echelon`) instead once it is held: on a member whose
+classes cover nearly the whole family it is the cheaper route.
 
 A coefficient of (x0 X)^m too large to write out is answered in
 `collisions` lazily (`ore.PowerCoefficient`), through its classes.  A class
@@ -544,8 +545,6 @@ class _Windows:
     echelon's too: both project onto the words with no pivot segment.
     """
 
-    records = False  # whether `reduce` lists the words it replaced
-
     def __init__(self, params: ConstructionParams, budgets: Budgets,
                  cache: dict, window: tuple[int, int]):
         self.params = params
@@ -556,15 +555,14 @@ class _Windows:
         self._segments: dict[tuple, tuple | None] = {}
 
     def reduce(self, vec: dict, query: SpanQuery) -> tuple[dict, list]:
-        """Normal form of vec, and, when `records` is set, the words whose
-        window segment was replaced, as (block start, word, coefficient) in
-        order.  The blocks come from the layout, which refuses the family
-        like `span_rows` refuses it."""
+        """Normal form of vec, and the words whose window segment was
+        replaced, as (block start, word, coefficient) in order.  The blocks
+        come from the layout, which refuses the family like `span_rows`."""
         [(_, starts, _)] = _layout(self.params, query, self.budgets, self.cache)
         if not starts:
             return dict(vec), []
         fadd, fmul = self.params.field.add, self.params.field.mul
-        memo, records = self._segments.get, self.records
+        memo = self._segments.get
         a, b = self.window
         replaced = []
         for m in starts:
@@ -579,8 +577,7 @@ class _Windows:
                 if found is None:
                     out[x] = c
                     continue
-                if records:
-                    replaced.append((m, x, c))
+                replaced.append((m, x, c))
                 if found:  # a zero residue drops the word at once
                     hits.append((x, c, found))
             for x, c, residue in hits:
@@ -628,8 +625,6 @@ class _WordWindows(_Windows):
     each segment's residue and functional, and a member's certificate lists
     the rows u * core * v its replacements subtracted."""
 
-    records = True
-
     def __init__(self, params: ConstructionParams, k: int, budgets: Budgets,
                  cache: dict):
         super().__init__(params, budgets, cache, (0, params.block(k)))
@@ -674,9 +669,10 @@ class _WordWindows(_Windows):
         ech, _ = self._echelon(sum(seg))
         return ech.certificate({seg: self.params.field.one}).functional
 
-    def member(self, replaced: list, query: SpanQuery) -> MembershipCertificate:
-        """The rows u * core * v the replacements subtracted, indexed through
-        the row blocks of `_layout`."""
+    def member(self, vec: dict, replaced: list,
+               query: SpanQuery) -> MembershipCertificate:
+        """The rows u * core * v the replacements of `reduce` subtracted from
+        the member vec, indexed through the row blocks of `_layout`."""
         [(_, _, blocks)] = _layout(self.params, query, self.budgets, self.cache)
         field, N = self.params.field, self.window[1]
         fadd, fmul = field.add, field.mul
@@ -851,8 +847,8 @@ class _CollisionWindows(_Windows):
     Every row also lies inside one class, the words reachable by permuting
     the slot letters within each window, so the generic echelon is
     block-diagonal by class.  A member's combination comes from an echelon
-    of only the rows inside its words' classes, one per query, filled class
-    by class.
+    of only the rows inside its words' classes, one per query, each call's
+    new classes filled in through `Echelon.extend`.
     """
 
     def __init__(self, params: ConstructionParams, k: int, budgets: Budgets,
@@ -929,14 +925,15 @@ class _CollisionWindows(_Windows):
                         yield (start, u, (1, pair, hi, lo, rest), v), {y: one,
                                                                       z: one}
 
-    def member(self, vec: dict, query: SpanQuery) -> MembershipCertificate:
-        """The combination the generic echelon gives a member, with the same
-        row indices.  The query's echelon takes in the rows of each class of
-        vec's words it does not hold yet, single-term rows first, then the
-        rest, each in index order, as `Echelon.extend` takes in the family;
-        rows of other classes never meet these, so the elimination is the
-        family's restricted to the classes.  Only the rows the combination
-        names are ranked, through `_collision_rank` and `_row_index`."""
+    def member(self, vec: dict, replaced: list,
+               query: SpanQuery) -> MembershipCertificate:
+        """The combination the generic echelon gives the member vec, with the
+        same row indices.  `Echelon.extend` adds the rows of each class of
+        vec's words the query's echelon does not hold yet, in key order,
+        which is family order, numbered locally in `keys` order; rows of
+        other classes never meet these, so the elimination is the family's
+        restricted to the classes.  Only the rows the combination names are
+        ranked, through `_collision_rank` and `_row_index`."""
         [(_, starts, blocks)] = _layout(self.params, query, self.budgets,
                                         self.cache)
         got = self._class_echelons.get(query)
@@ -950,10 +947,9 @@ class _CollisionWindows(_Windows):
         for x in vec:
             if x not in held:
                 new += self._class_rows(x, windows, blocks, held)
-        new.sort(key=lambda item: (len(item[1]) > 1, item[0]))
-        for key, row in new:
-            ech.insert(row, len(keys))
-            keys.append(key)
+        new.sort(key=itemgetter(0))
+        keys += [key for key, _ in new]
+        ech.extend(row for _, row in new)
         combination = []
         for i, c in ech.certificate(vec).combination:
             _, u, core, v = keys[i]
@@ -1145,10 +1141,9 @@ class SpanOracle:
             residue, replaced = engine.reduce(a.terms, query)
             if residue:
                 return engine.non_member(residue, query)
-            if query.space == "words":
-                return engine.member(replaced, query)
-            if query not in self._echelons:
-                return engine.member(a.terms, query)
+            # a `collisions` member reads a family echelon already held
+            if query.space == "words" or query not in self._echelons:
+                return engine.member(a.terms, replaced, query)
         return self.echelon(query).certificate(a.terms)
 
     def normal_form(self, a: FreePoly, query: SpanQuery) -> FreePoly:

@@ -383,8 +383,12 @@ def verify_inclusions(params: ConstructionParams, k: int = 1, lengths=None,
     it builds no row.  The first ideal row of each component is certified in
     both spans and re-verified against the regenerated families, its
     `collisions` combination read from the generic echelon of the family,
-    the named cross-check of the class route.  Each length must fit an
-    ideal core, 2N; a degenerate level is refused first.
+    built first: the row's classes cover nearly the whole family (all 15,012
+    class rows at (20, 4) for (10,3,1)), where the class route costs two to
+    three times the echelon.  test_per_core_report_matches_the_per_row_reference
+    and test_class_combination_is_the_echelon_combination compare the
+    routes.  Each length must fit an ideal core, 2N; a degenerate level is
+    refused first.
     """
     params.slots(k)
     field = params.field
@@ -438,8 +442,8 @@ def verify_inclusions(params: ConstructionParams, k: int = 1, lengths=None,
                 # a regenerated family
                 a = FreePoly(field, row)
                 cert_w = oracle.member(a, words_q)
-                # the named generic cross-check: the family echelon, whose
-                # combination `member` then reads
+                # the family echelon, whose combination `member` then
+                # reads: cheaper than the class route on a row this dense
                 oracle.echelon(coll_q)
                 cert_b = oracle.member(a, coll_q)
                 bad += not (cert_w.kind == "member" and cert_b.kind == "member"

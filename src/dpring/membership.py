@@ -5,13 +5,14 @@ incrementally built row-echelon family: each stored row is normalized so its
 smallest word (by length, then lexicographic order) has coefficient one, and
 that word is the row's pivot.  No back-substitution is performed; reduction
 eliminates pivots in increasing word order with a heap, which is safe because
-eliminating a pivot only introduces words larger than it.  A pivot whose row
-is the bare monomial is eliminated outright, without entering the heap: in
-the block-aligned span families almost every pivot row is one.  Inserting a
-single-term vector skips reduction altogether unless its word is the pivot of
-a longer row: a monomial row already spans it, and a free word becomes a
-monomial pivot itself.  A residue whose pivot coefficient is already one
-is stored as it is, without the normalising multiply.
+eliminating a pivot only introduces words larger than it.  A word of the
+query whose pivot row is the bare monomial is split off up front, without
+entering the heap: in the block-aligned span families almost every pivot
+row is one.  Only words of the query are split off; one that a longer row
+brings in goes through the heap like any other.  Inserting a single-term
+vector skips reduction altogether unless its word is the pivot of a longer
+row: a monomial row already spans it, and a free word becomes a monomial
+pivot itself.
 
 Combination tracking is lazy: each pivot row remembers only which earlier
 pivots its reduction used, and combinations over the original insertion
@@ -24,8 +25,8 @@ either an explicit combination of the inserted vectors (a member) or a finite
 linear functional that kills every inserted vector but not the query (a
 non-member).  `MembershipCertificate.verify` redoes the arithmetic against
 the family, given as rows in index order, and never trusts the elimination.
-`Echelon.extend` inserts such a family with canonical indices, single-term
-rows first, which is the order the single-term fast path of `insert` wants.
+`Echelon.extend` is the one way a family enters an echelon, with canonical
+indices and in the order the single-term fast path of `insert` wants.
 """
 
 from __future__ import annotations
@@ -133,9 +134,9 @@ class Echelon:
         """Residue of vec modulo the current rows, plus the multiple of each
         pivot row that was subtracted along the way."""
         field = self.field
-        fsub, fmul, fneg = field.sub, field.mul, field.neg
+        fadd, fsub, fmul, fneg = field.add, field.sub, field.mul, field.neg
         rows = self.rows
-        # monomial pivots leave at once; the rest go through the heap
+        # the query's monomial pivots leave at once, the rest use the heap
         used: dict[tuple, object] = {}
         rest: dict = {}
         for w, v in vec.items():
@@ -167,17 +168,6 @@ class Echelon:
                     continue
                 cur = vec.get(m)
                 if cur is None:
-                    row_m = rows.get(m)
-                    if row_m is not None and len(row_m) == 1:
-                        # never in vec; a word dropped earlier may come
-                        # back here, so its multiple accumulates
-                        cur = used.get(m)
-                        nv = fneg(cv) if cur is None else fsub(cur, cv)
-                        if nv:
-                            used[m] = nv
-                        else:
-                            del used[m]
-                        continue
                     vec[m] = fneg(cv)
                     heapq.heappush(heap, (len(m), m))
                 else:
@@ -186,16 +176,19 @@ class Echelon:
                         vec[m] = nv
                     else:
                         del vec[m]
-            used[w] = c
+            if w in used:  # a monomial pivot split off up front came back
+                c = fadd(used.pop(w), c)
+            if c:
+                used[w] = c
         return vec, used
 
     def insert(self, vec: dict, index: int | None = None) -> tuple | None:
         """Add a vector to the family.  Returns the new pivot word, or None
         when the vector was already in the span.
 
-        The certificate index defaults to a running counter; passing it
-        explicitly lets callers insert out of enumeration order (for example
-        single-term rows first) while keeping canonical indices.
+        The certificate index defaults to a running counter; only `extend`
+        passes it explicitly, to insert single-term rows first while keeping
+        canonical indices.
         """
         idx = self.inserted if index is None else index
         self.inserted = max(self.inserted, idx + 1)
@@ -217,19 +210,18 @@ class Echelon:
             return None
         pivot = min(residue, key=word_key)
         inv = field.inv(residue[pivot])
-        if inv != field.one:
-            fmul = field.mul
-            residue = {w: fmul(inv, v) for w, v in residue.items()}
-        self.rows[pivot] = residue
+        fmul = field.mul
+        self.rows[pivot] = {w: fmul(inv, v) for w, v in residue.items()}
         self.history[pivot] = (idx, inv, used)
         return pivot
 
     def extend(self, rows):
         """Insert an enumerated family, continuing the index count.
 
-        Single-term rows go in as they come and claim their pivots for free;
-        the longer rows, held back until the end, reduce mostly against
-        monomial rows, so elimination stays cheap.
+        Single-term rows go in first, in index order, and claim their pivots
+        for free; the longer rows follow, in index order, and reduce mostly
+        against monomial rows, so elimination stays cheap and no longer row
+        holds a monomial pivot unless a later call adds one on its words.
         """
         multi = []
         for i, row in enumerate(rows, self.inserted):

@@ -1,7 +1,8 @@
 """Package surface: every exported name resolves, no private name crosses
 a module boundary, no private module-level name goes unread in its module,
 no function binds a local it never reads, one function reads the family
-budget, one builds the span cores, and the README's examples run."""
+budget, one builds the span cores, one inserts rows into an echelon, and
+the README's examples run."""
 import ast
 import collections
 import contextlib
@@ -160,6 +161,22 @@ def test_one_function_builds_the_span_cores():
              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
              and node.id in ("derive_iter", "collision_elements")}
     assert found == {"_cores"}
+
+
+def test_only_extend_inserts_rows_into_an_echelon():
+    # `Echelon.extend` is the one statement of the insertion order,
+    # single-term rows first, that the echelon's shortcuts rely on; a caller
+    # inserting rows itself would be a second copy of that order.  No other
+    # `.insert(` is called in the package, so every such call counts
+    found = {(name, getattr(scope, "name", type(scope).__name__))
+             for name, tree in parsed()
+             for scope in ast.walk(tree)
+             if isinstance(scope, (ast.Module, *SCOPES))
+             for node in _own_nodes(scope)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "insert"}
+    assert found == {("membership.py", "extend")}
 
 
 def _fenced(heading: str, lang: str) -> str:
