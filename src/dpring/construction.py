@@ -54,14 +54,10 @@ slot letter being zero and any other its slot letters sorted descending
 times the sign of the sort, with the signed class indicator as functional.
 `SpanOracle.verify` checks a `collisions` functional against the rows that
 meet its support, built from the slots alone.  A `collisions` member's
-combination, whose row indices the reports pin, comes from the classes its
-words belong to: every row lies inside one class, so the generic echelon is
-block-diagonal by class, and an echelon of those classes' rows, filled in
-family order through `Echelon.extend`, gives the same combination; each
-named row is ranked back to its family index in closed form
-(`_collision_rank`, `_row_index`).  `member` reads the echelon of the whole
-family (`SpanOracle.echelon`) instead once it is held: on a member whose
-classes cover nearly the whole family it is the cheaper route.
+combination, whose row indices the reports pin, comes from the echelon of
+the whole family (`SpanOracle.echelon`) or from one of only the classes its
+words belong to, ranked back to family indices in closed form
+(`_collision_rank`, `_row_index`); `SpanOracle.member` picks the route.
 
 A coefficient of (x0 X)^m too large to write out is answered in
 `collisions` lazily (`ore.PowerCoefficient`), through its classes.  A class
@@ -1083,9 +1079,9 @@ def _classes_vanish(params: ConstructionParams, query: SpanQuery, weigh,
 class SpanOracle:
     """Answers membership with re-verifiable certificates: `words` and
     `collisions` queries by the windowed quotient, a `collisions` member's
-    combination by an echelon of the classes its words meet, and every other
-    space by one cached echelon of the family per query.  A lazy coefficient
-    of (x0 X)^m is answered in `collisions` by its repeat-free classes
+    combination by the route `member` picks, and every other space by one
+    cached echelon of the family per query.  A lazy coefficient of (x0 X)^m
+    is answered in `collisions` by its repeat-free classes
     (`class_member`)."""
 
     def __init__(self, params: ConstructionParams, budgets: Budgets = DEFAULT_BUDGETS):
@@ -1104,11 +1100,9 @@ class SpanOracle:
         return got
 
     def echelon(self, query: SpanQuery) -> Echelon:
-        """The generic echelon of the query's family.  `words` and
-        `collisions` queries are answered without it; for them it is the
-        deliberate cross-check, which the tests and the harness's named
-        cross-checks build explicitly.  A `collisions` member's combination
-        is read from it once it is held."""
+        """The generic echelon of the query's family.  `words` queries and
+        `collisions` non-members and normal forms are answered without it;
+        `member` picks it for some `collisions` members."""
         ech = self._echelons.get(query)
         if ech is None:
             ech = Echelon(self.params.field)
@@ -1133,7 +1127,16 @@ class SpanOracle:
     def member(self, a: FreePoly, query: SpanQuery) -> MembershipCertificate:
         """A "member" or "non_member" certificate, never "classes", which
         has no functional: `perfbench/spans.py` counts cert.functional for
-        every kind but "member"."""
+        every kind but "member".
+
+        This is the one place that picks a `collisions` member's route.  The
+        family echelon answers when it is held or when the query holds at
+        least half the words of its component, the echelon of the query's
+        classes otherwise.  The generic echelon is block-diagonal by class,
+        so both give the same combination.  A query meets about its share of
+        the family's rows, and at full coverage the class route (walking the
+        classes, sorting their rows, ranking the named ones) costs about
+        twice the family echelon."""
         if self._check_query_input(a, query):
             return MembershipCertificate("member", combination=[])
         if query.space in _WINDOWED:
@@ -1141,8 +1144,9 @@ class SpanOracle:
             residue, replaced = engine.reduce(a.terms, query)
             if residue:
                 return engine.non_member(residue, query)
-            # a `collisions` member reads a family echelon already held
-            if query.space == "words" or query not in self._echelons:
+            if query.space == "words" or (
+                    query not in self._echelons and 2 * len(a.terms)
+                    < count_words(query.length, query.degree)):
                 return engine.member(a.terms, replaced, query)
         return self.echelon(query).certificate(a.terms)
 

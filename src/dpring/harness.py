@@ -382,13 +382,10 @@ def verify_inclusions(params: ConstructionParams, k: int = 1, lengths=None,
     counted by the layout, which refuses a family over max_basis_size though
     it builds no row.  The first ideal row of each component is certified in
     both spans and re-verified against the regenerated families, its
-    `collisions` combination read from the generic echelon of the family,
-    built first: the row's classes cover nearly the whole family (all 15,012
-    class rows at (20, 4) for (10,3,1)), where the class route costs two to
-    three times the echelon.  test_per_core_report_matches_the_per_row_reference
-    and test_class_combination_is_the_echelon_combination compare the
-    routes.  Each length must fit an ideal core, 2N; a degenerate level is
-    refused first.
+    `collisions` combination taken by the route `SpanOracle.member` picks.
+    test_per_core_report_matches_the_per_row_reference compares the per-core
+    proofs with per-row reductions.  Each length must fit an ideal core, 2N;
+    a degenerate level is refused first.
     """
     params.slots(k)
     field = params.field
@@ -442,9 +439,6 @@ def verify_inclusions(params: ConstructionParams, k: int = 1, lengths=None,
                 # a regenerated family
                 a = FreePoly(field, row)
                 cert_w = oracle.member(a, words_q)
-                # the family echelon, whose combination `member` then
-                # reads: cheaper than the class route on a row this dense
-                oracle.echelon(coll_q)
                 cert_b = oracle.member(a, coll_q)
                 bad += not (cert_w.kind == "member" and cert_b.kind == "member"
                             and oracle.verify(a, words_q, cert_w)
@@ -562,12 +556,11 @@ def _window_cross_check(params: ConstructionParams, k: int, m: int,
                         oracle: SpanOracle) -> bool:
     """The descent's deliberate cross-check of the class route against the
     expanded window: the coefficient oracle reproduces every term of a_m
-    and a_{m-1}, and SpanOracle.member, reading the generic family echelon
-    built here for a member's combination, gives a_{m-1} the verdict the
-    classes give, verified by SpanOracle.verify, and for a non-member the
-    same functional.  a_{m-1} holds m - 1 words of m letters, so it is
-    expanded only while m^2 stays within max_component_dim; past that, as
-    at (10,3,2), a_m alone is checked."""
+    and a_{m-1}, and SpanOracle.member gives the expanded a_{m-1} the
+    verdict the classes give, verified by SpanOracle.verify, and for a
+    non-member the same functional.  a_{m-1} holds m - 1 words of m
+    letters, so it is expanded only while m^2 stays within
+    max_component_dim; past that, as at (10,3,2), a_m alone is checked."""
     field = params.field
     top = m - 1 if m * m <= oracle.budgets.max_component_dim else m
     window = expand_power_window(field, m, top)
@@ -575,7 +568,6 @@ def _window_cross_check(params: ConstructionParams, k: int, m: int,
              for t, p in window.items() for w, c in p.terms.items())
     a = window[top]
     q = SpanQuery("collisions", m, m - top, level=k)
-    oracle.echelon(q)
     cert = oracle.member(a, q)
     by_classes = oracle.class_member(PowerCoefficient(field, m, top), q)
     same = (cert.kind == "member" if by_classes.kind == "classes"

@@ -164,8 +164,6 @@ class Echelon:
                 if m == w:
                     continue
                 cv = fmul(c, v)
-                if not cv:
-                    continue
                 cur = vec.get(m)
                 if cur is None:
                     vec[m] = fneg(cv)

@@ -2,9 +2,10 @@
 
 Every `collisions` row lies inside one class (the words reachable by
 permuting slot letters within each window), so the generic echelon is
-block-diagonal by class.  `SpanOracle.member` answers a member from an echelon
-of only its classes' rows, ranked back to family indices in closed form; the
-generic echelon of the whole family is the cross-check here.
+block-diagonal by class.  `SpanOracle.member` answers a member holding under
+half its component's words from an echelon of only its classes' rows, ranked
+back to family indices in closed form; the generic echelon of the whole
+family is the cross-check here.
 """
 import functools
 import itertools
@@ -119,3 +120,25 @@ def test_member_reads_a_held_family_echelon():
     assert held.member(a, q) == by_classes.member(a, q)
     assert not by_classes._echelons and held._echelons == {q: ech}
     assert not held._engine(q)._class_echelons
+
+
+@pytest.mark.parametrize("L, held, class_rows", [
+    (20, True, 0),    # the row holds all 1,540 words of (20, 3)
+    (30, False, 3),   # one word, whose classes hold 3 of 13,572 rows
+])
+def test_member_picks_the_route_from_the_query(L, held, class_rows):
+    # the first ideal row of (L, 3) at (10,3,1): the family echelon answers
+    # a query holding at least half its component's words, the class
+    # echelon any other, and both give the reference echelon's combination
+    args = (10, 3, 1)
+    params = ConstructionParams(*args, Q)
+    row = next(span_rows(params, SpanQuery("ideal_level", L, 3, level=1)))
+    a, q = FreePoly(Q, row), SpanQuery("collisions", L, 3, level=1)
+    oracle = SpanOracle(params)
+    cert = oracle.member(a, q)
+    assert (q in oracle._echelons) == held
+    got = oracle._engine(q)._class_echelons.get(q)
+    assert (got[0].inserted if got else 0) == class_rows
+    _, reference = family(args, Q, q)
+    assert cert == reference.echelon(q).certificate(a.terms)
+    assert cert.kind == "member" and oracle.verify(a, q, cert)

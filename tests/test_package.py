@@ -1,8 +1,8 @@
 """Package surface: every exported name resolves, no private name crosses
 a module boundary, no private module-level name goes unread in its module,
 no function binds a local it never reads, one function reads the family
-budget, one builds the span cores, one inserts rows into an echelon, and
-the README's examples run."""
+budget, one builds the span cores, one inserts rows into an echelon, only
+SpanOracle asks for a family echelon, and the README's examples run."""
 import ast
 import collections
 import contextlib
@@ -177,6 +177,23 @@ def test_only_extend_inserts_rows_into_an_echelon():
              and isinstance(node.func, ast.Attribute)
              and node.func.attr == "insert"}
     assert found == {("membership.py", "extend")}
+
+
+def test_only_the_oracle_builds_a_family_echelon():
+    # `SpanOracle.member` alone picks a `collisions` member's route, from
+    # the query itself; a caller building the family echelon first would
+    # steer that choice from outside.  `normal_form` reads it for the spaces
+    # without a windowed quotient
+    found = {(name, getattr(scope, "name", type(scope).__name__))
+             for name, tree in parsed()
+             for scope in ast.walk(tree)
+             if isinstance(scope, (ast.Module, *SCOPES))
+             for node in _own_nodes(scope)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "echelon"}
+    assert found == {("construction.py", "member"),
+                     ("construction.py", "normal_form")}
 
 
 def _fenced(heading: str, lang: str) -> str:
