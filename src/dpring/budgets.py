@@ -23,8 +23,8 @@ class Budgets:
         may touch.
     max_basis_size: largest spanning-set size a span query may touch.  The
         family of every space is counted in closed form and refused before
-        its first row is built, whether or not the query enumerates it; the
-        cap also bounds the rank of any echelon built from the rows.
+        its first core is built, whether or not the query enumerates it;
+        the cap also bounds the rank of any echelon built from the rows.
     """
 
     max_expand_m: int = 16

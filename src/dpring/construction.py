@@ -30,9 +30,9 @@ in `collision_elements` order.
 `_blocks` alone places a level's cores (core length and starts, from
 `block`, `base` and `slots`) and `_cores` alone builds them, memoized in the
 shared cache.  One layout (`_layout`) walks the row blocks of every space
-over those starts and counts them without building a row: a block holds
-(words u) * (cores) * (words v) rows, collision cores counted by
-`_collision_count`.  So it knows the family size and each block's first row
+over those starts and counts them without building a core: a block holds
+(words u) * (cores) * (words v) rows, cores counted by `_collision_count` or
+`_alphabet_count`.  So it knows the family size and each block's first row
 index before a row exists.  A family over `Budgets.max_basis_size` is
 refused there, before enumeration, whichever engine answers the query;
 `words` member certificates take their row indices from the same blocks.
@@ -52,8 +52,8 @@ per degree, whose replacements also index a member's rows through the
 layout's blocks; for `collisions` the closed form, a segment that repeats a
 slot letter being zero and any other its slot letters sorted descending
 times the sign of the sort, with the signed class indicator as functional.
-`SpanOracle.verify` checks a `collisions` functional against the rows that
-meet its support, built from the slots alone.  A `collisions` member's
+`SpanOracle.verify` checks a `collisions` functional by the swap rule,
+from the slots alone.  A `collisions` member's
 combination, whose row indices the reports pin, comes from the echelon of
 the whole family (`SpanOracle.echelon`) or from one of only the classes its
 words belong to, ranked back to family indices in closed form
@@ -90,6 +90,7 @@ remain usable; eager validation is available separately.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from functools import partial
@@ -412,7 +413,7 @@ def _cores(params, space, k, budgets, cache, l, dc):
 
 def _layout(params, query: SpanQuery, budgets: Budgets, cache: dict):
     """The row blocks of every level of the query's family, counted in
-    closed form and refused over `max_basis_size` before a row is built.
+    closed form and refused over `max_basis_size` before a core is built.
 
     Returns (k, starts, blocks) per level: the starts of `_blocks` and a dict
     from (len_u, du, l, dc), in row order, to (start, n_cores, n_v, len_v,
@@ -450,11 +451,9 @@ def _layout(params, query: SpanQuery, budgets: Budgets, cache: dict):
                             n_v = count_words(len_v, dv)
                             if not n_v:
                                 continue
-                            if space == "collisions":
-                                n_cores = _collision_count(params, k, dc)
-                            else:
-                                n_cores = len(_cores(params, space, k, budgets,
-                                                     cache, l, dc))
+                            n_cores = (_collision_count(params, k, dc)
+                                       if space == "collisions" else
+                                       _alphabet_count(core_len, dc, k))
                             if n_cores:
                                 blocks[len_u, du, l, dc] = (total, n_cores, n_v,
                                                             len_v, dv)
@@ -736,12 +735,14 @@ def _class_count(params: ConstructionParams, k: int, L: int, d: int) -> int:
                for t in range(d + 1))
 
 
+@functools.cache
 def _collision_split(params: ConstructionParams, k: int, degree: int):
     """The loops of `collision_elements(params, k, degree)`, counted without
     enumerating an element: the number of repeats, the words minus the
     repeat-free ones, each class filling the slots n! ways, and {(hi, lo):
     swaps of one slot pair with those letters}, in element order; every
-    slot pair has the same swaps."""
+    slot pair has the same swaps.  Memoized, so the dict is shared and only
+    read: it holds counts, never rows or cores."""
     length = params.block(k) - 1
     distinct = factorial(k + 1) * _class_count(params, k, length, degree)
     return count_words(length, degree) - distinct, {
@@ -754,6 +755,14 @@ def _collision_count(params: ConstructionParams, k: int, degree: int) -> int:
     """len(list(collision_elements(params, k, degree))), in closed form."""
     repeats, swaps = _collision_split(params, k, degree)
     return repeats + comb(k + 1, 2) * sum(swaps.values())
+
+
+def _alphabet_count(n: int, d: int, k: int) -> int:
+    """Words of length n and degree d over x0..x_{k-1}, by inclusion and
+    exclusion over j letters forced above k - 1: the number of `_cores` of
+    that length and degree, none of them zero."""
+    return sum((-1) ** j * comb(n, j) * count_words(n, d - j * k)
+               for j in range(min(n, d // k) + 1))
 
 
 def _distinct_fills(taken: set, j: int, free: int, e: int) -> int:
@@ -1015,27 +1024,27 @@ class _CollisionWindows(_Windows):
 _WINDOWED = {"words": _WordWindows, "collisions": _CollisionWindows}
 
 
-def _collision_rows_meeting(params: ConstructionParams, query: SpanQuery,
-                            support):
-    """Every row of the `collisions` family of the query that meets the given
-    words, built from the slots alone: for each support word s of the
-    component, window and slot pair, the repeat row {s} when s has equal
-    letters there, else the swap row {s, s'}, s' being s with the two letters
-    exchanged.  Rows may repeat; a row that meets no support word is
-    missing, and a functional on the support vanishes on it anyway."""
-    L, d, one = query.length, query.degree, params.field.one
+def _swap_rule(params: ConstructionParams, query: SpanQuery,
+               functional: dict) -> bool:
+    """Whether the functional vanishes on every row of the `collisions`
+    family of the query, from the slots alone: each word of the component
+    with a nonzero value repeats no slot letter within a window, and
+    exchanging two slot letters of one window negates its value.  A row
+    meeting no such word is zero there."""
+    L, d, neg = query.length, query.degree, params.field.neg
     windows = _window_slots(params, query.level, L)
-    for s in support:
-        if len(s) != L or sum(s) != d:
+    get = functional.get
+    for s, c in functional.items():
+        if not c or len(s) != L or sum(s) != d:
             continue
+        minus = neg(c)
         for places in windows:
             for i, j in itertools.combinations(places, 2):
-                if s[i] == s[j]:
-                    yield {s: one}
-                else:
-                    t = list(s)
-                    t[i], t[j] = s[j], s[i]
-                    yield {s: one, tuple(t): one}
+                t = list(s)
+                t[i], t[j] = s[j], s[i]
+                if s[i] == s[j] or get(tuple(t)) != minus:
+                    return False
+    return True
 
 
 def _classes_vanish(params: ConstructionParams, query: SpanQuery, weigh,
@@ -1185,12 +1194,11 @@ class SpanOracle:
 
     def verify(self, a, query: SpanQuery, cert: MembershipCertificate) -> bool:
         """Re-check a certificate against the regenerated spanning family,
-        or, for a `collisions` functional, against the rows that meet its
-        support, built from the slots alone; a "classes" certificate is
-        recounted and its sums recomputed, also from the slots alone.  a is
-        a FreePoly or a lazy coefficient, read through `get` by functionals
-        and through `weigh` by classes; it has no terms for a member
-        combination to sum to.  a over another field fails."""
+        or, for a `collisions` functional, by the swap rule; a "classes"
+        certificate is recounted and its sums recomputed, both from the
+        slots alone.  a is a FreePoly or a lazy coefficient, read through
+        `get` by functionals and through `weigh` by classes; it has no terms
+        for a member combination to sum to.  a over another field fails."""
         if a.field != self.params.field:
             return False
         lazy = not isinstance(a, FreePoly)
@@ -1208,9 +1216,9 @@ class SpanOracle:
         if lazy and cert.kind == "member":
             return False
         if query.space == "collisions" and cert.kind == "non_member":
-            rows = _collision_rows_meeting(self.params, query, cert.functional)
-        else:
-            rows = span_rows(self.params, query, self.budgets, self._cache)
+            return (cert.verify(self.params.field, vec, ())
+                    and _swap_rule(self.params, query, cert.functional))
+        rows = span_rows(self.params, query, self.budgets, self._cache)
         return cert.verify(self.params.field, vec, rows)
 
 

@@ -23,7 +23,8 @@ from dpring.construction import (
     span_rows,
     words_iter,
 )
-from dpring.construction import _collision_count, _word_rank
+from dpring import construction
+from dpring.construction import _alphabet_count, _collision_count, _word_rank
 from dpring.fields import PrimeField, RationalField
 from dpring.freealg import FreePoly, derive, poly_to_text, word_stats
 from dpring.membership import MembershipCertificate
@@ -404,6 +405,36 @@ def test_word_rank_inverts_words_iter():
     for degree in range(1, 4):
         for i, w in enumerate(words_iter(80, degree)):
             assert _word_rank(w) == i
+
+
+def test_alphabet_count_matches_words_iter():
+    for n in range(11):
+        for d in range(9):
+            for k in range(1, 5):
+                assert _alphabet_count(n, d, k) == sum(
+                    1 for _ in words_iter(n, d, max_letter=k - 1)), (n, d, k)
+
+
+def test_layout_refuses_alphabet_families_without_building_a_core(monkeypatch):
+    # the layout counts alphabet cores in closed form, so a family over the
+    # basis budget is refused, with its enumerated size, before any D^l(w)
+    queries = [SpanQuery("words", 20, 2, level=1),
+               SpanQuery("ideal_level", 20, 2, level=1),
+               SpanQuery("ideal", 20, 2)]
+    sizes = [sum(1 for _ in span_rows(P10, q)) for q in queries]
+
+    def no_cores(*args):
+        raise AssertionError("a core was built")
+
+    monkeypatch.setattr(construction, "_cores", no_cores)
+    budgets = Budgets(max_basis_size=0)
+    for q, size in zip(queries, sizes):
+        with pytest.raises(BudgetExceeded) as refused:
+            next(span_rows(P10, q, budgets))
+        assert refused.value.details["family_size"] == size
+    with pytest.raises(BudgetExceeded):
+        SpanOracle(P10, budgets).member(
+            FreePoly.monomial(Q, (0,) * 19 + (2,)), queries[0])
 
 
 WORDS_FIELDS = (Q, PrimeField(2), PrimeField(3), PrimeField(7))

@@ -151,8 +151,9 @@ def test_one_function_reads_the_basis_budget():
 
 def test_one_function_builds_the_span_cores():
     # a span's cores, the derivatives D^l(w) and the collision elements,
-    # are built and memoized in one place that every row, layout and window
-    # echelon reads; a second builder would be a second row order
+    # are built and memoized in one place that every row and window echelon
+    # reads (the layout only counts them); a second builder would be a
+    # second row order
     tree = dict(parsed())["construction.py"]
     found = {getattr(scope, "name", type(scope).__name__)
              for scope in ast.walk(tree)
