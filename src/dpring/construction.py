@@ -751,6 +751,13 @@ def _collision_split(params: ConstructionParams, k: int, degree: int):
         for lo in range(min(hi - 1, degree - hi) + 1)}
 
 
+@functools.cache
+def _level_slots(params: ConstructionParams, k: int) -> tuple[int, ...]:
+    """params.slots(k), memoized for `_collision_rank`, which reads it once
+    per row it ranks."""
+    return params.slots(k)
+
+
 def _collision_count(params: ConstructionParams, k: int, degree: int) -> int:
     """len(list(collision_elements(params, k, degree))), in closed form."""
     repeats, swaps = _collision_split(params, k, degree)
@@ -788,7 +795,7 @@ def _collision_rank(params: ConstructionParams, k: int, key: tuple) -> int:
         return (repeats + pair * sum(swaps.values())
                 + sum(map(swaps.get, before)) + _word_rank(rest))
     word = key[1]
-    slots = params.slots(k)
+    slots = _level_slots(params, k)
     rem, left, taken, distinct = sum(word), len(slots), set(), 0
     for i in sorted(set(itertools.compress(range(n), word)).union(slots)):
         x, slot = word[i], i in slots

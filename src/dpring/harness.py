@@ -42,6 +42,7 @@ from .ore import (
     expand_power,
     expand_power_window,
     is_ballot_word,
+    window_terms,
 )
 from .series import (
     InnerDerivation,
@@ -200,13 +201,15 @@ def verify_ballot(field=None, m_max: int = 8,
                   budgets: Budgets = DEFAULT_BUDGETS) -> CampaignReport:
     """Expand (x0 X)^m for m <= m_max and audit the coefficient structure.
 
-    Checked per m: the top coefficient is x0^m and the constant one is zero;
-    every monomial is a ballot word (partial letter sums stay below the
-    position) of degree m - t; the distinct monomials across all t number the
-    m-th Catalan number; and the windowed expansion agrees with the full one.
-    The converse (every ballot word appears with nonzero coefficient) is
-    reported informationally.  An m_max over max_expand_m is refused before
-    any expansion.
+    Each power is the one before times x0 X, the products `expand_power`
+    runs.  Checked per m: the top coefficient is x0^m and the constant one is
+    zero; every monomial is a ballot word (partial letter sums stay below the
+    position) of degree m - t; the distinct monomials across all t
+    (`monomials`, the coefficients' terms once the grading holds) number the
+    m-th Catalan number; and the window's term stream (`window_terms`)
+    matches the power term by term.  The converse (every ballot word appears
+    with nonzero coefficient) is reported informationally.  An m_max over
+    max_expand_m is refused before any expansion.
     """
     _at_least(0, m_max=m_max)
     if m_max > budgets.max_expand_m:
@@ -214,36 +217,46 @@ def verify_ballot(field=None, m_max: int = 8,
                              f"(budget {budgets.max_expand_m})", m=m_max)
     field = field or RationalField()
     rep = CampaignReport("ballot", {"field": field_label(field), "m_max": m_max})
+    step, full = expand_power(field, 1), expand_power(field, 0)
     for m in range(0, m_max + 1):
-        full = expand_power(field, m, max_expand_m=budgets.max_expand_m)
-        window = expand_power_window(field, m, 0)
+        if m:
+            full = full * step
         ok = True
         detail: dict = {}
-        seen = set()
-        for t, coeff in full.coeffs.items():
-            for w in coeff.terms:
-                seen.add(w)
+        terms = {t: coeff.terms for t, coeff in full.coeffs.items()}
+        for t, words in terms.items():
+            for w in words:
                 if len(w) != m or sum(w) != m - t or not is_ballot_word(w):
                     ok = False
                     detail["offender"] = {"t": t, "word": word_to_text(w)}
+        # an offender may sit in two coefficients, so count it once
+        monomials = (sum(map(len, terms.values())) if ok
+                     else len(set().union(*terms.values())))
         catalan = comb(2 * m, m) // (m + 1)
         if field.characteristic == 0:
             # in positive characteristic binomial weights can vanish, so the
             # monomial count only matches the Catalan number over the rationals
-            if len(seen) != catalan:
+            if monomials != catalan:
                 ok = False
-        elif len(seen) > catalan:
+        elif monomials > catalan:
             ok = False
         if m >= 1 and not full.coeff(0).is_zero():
             ok = False
         top = FreePoly.monomial(field, (0,) * m)
         if full.coeff(m) != top:
             ok = False
-        for t in range(0, m + 1):
-            if window.get(t, FreePoly.zero(field)) != full.coeff(t):
-                ok = False
-                detail["window_mismatch"] = t
-        detail.update({"monomials": len(seen), "catalan": catalan})
+        # the stream is a_t when each term is one of a_t's and it has as
+        # many: it repeats no word and yields no zero
+        left, bad = {t: len(words) for t, words in terms.items()}, set()
+        for t, w, c in window_terms(field, m, 0):
+            left[t] = left.get(t, 0) - 1
+            if terms.get(t, {}).get(w) != c:
+                bad.add(t)
+        bad.update(t for t, n in left.items() if n)
+        if bad:
+            ok = False
+            detail["window_mismatch"] = max(bad)
+        detail.update({"monomials": monomials, "catalan": catalan})
         rep.add("ballot grading, Catalan count, dual-route agreement",
                 f"m={m}", ok, detail)
         if field.characteristic == 0:
@@ -251,7 +264,7 @@ def verify_ballot(field=None, m_max: int = 8,
                 1
                 for t in range(0, m + 1)
                 for w in words_iter(m, m - t)
-                if is_ballot_word(w) and w not in seen
+                if is_ballot_word(w) and w not in terms.get(t, ())
             )
             rep.add("every ballot word appears (converse)", f"m={m}",
                     "info" if missing == 0 else "fail", {"missing": missing})

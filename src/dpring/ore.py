@@ -12,9 +12,11 @@ Two expansion routes are provided for powers of (x0 X): `expand_power`
 multiplies out step by step through the generic product, `expand_power_window`
 writes the coefficients at or above a window floor in closed form, one
 binomial product per word.  They are deliberately independent so each can be
-checked against the other.  `PowerCoefficient` is a third, lazy route: one
-coefficient that is never materialised and weighs a single word on request
-with the window's closed form (`word_weight`).
+checked against the other.  `window_terms` is the window's walk itself,
+yielding one term at a time, so a check can stream it against a full
+expansion without building the window.  `PowerCoefficient` is a third, lazy
+route: one coefficient that is never materialised and weighs a single word on
+request with the window's closed form (`word_weight`).
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ __all__ = [
     "expand_power",
     "expand_power_window",
     "is_ballot_word",
+    "window_terms",
     "word_weight",
     "ore_to_text",
     "ore_from_text",
@@ -161,8 +164,9 @@ def expand_power(field, m: int, max_expand_m: int | None = None) -> OrePoly:
     return out
 
 
-def expand_power_window(field, m: int, floor: int) -> dict[int, FreePoly]:
-    """Coefficients a_t of (x0 X)^m for all t >= floor, in closed form.
+def window_terms(field, m: int, floor: int):
+    """Every term of the coefficients a_t of (x0 X)^m with t >= floor, as
+    (t, word, weight) triples in walk order.
 
     Right multiplication by x0 X sends a_j X^j to sum_k C(j, k) a_j x_k
     X^(j-k+1), so a word w of length m carries the weight
@@ -170,7 +174,9 @@ def expand_power_window(field, m: int, floor: int) -> dict[int, FreePoly]:
     a_t for t = m - deg w.  The window bounds deg w by m - floor.  A
     depth-first walk places only the nonzero letters, each word is built
     once, and since weights only multiply, a weight of zero in the field
-    (over GF(p)) prunes the whole subtree.
+    (over GF(p)) prunes the whole subtree.  So no (t, word) comes twice and
+    no weight is zero, and a caller can check the terms as they come
+    without holding the window.
     """
     if floor > m:
         raise ValueError(f"window floor {floor} exceeds the exponent {m}")
@@ -178,14 +184,13 @@ def expand_power_window(field, m: int, floor: int) -> dict[int, FreePoly]:
         raise ValueError("exponent must be >= 0")
     budget = m - max(floor, 0)
     from_int = field.from_int
-    out: dict[int, dict] = {}
     # (word up to its last nonzero letter, its degree, its integer weight
     # and that weight in the field)
     stack = [((), 0, 1, field.one)]
     while stack:
         head, deg, n, w = stack.pop()
         q = len(head)
-        out.setdefault(m - deg, {})[head + (0,) * (m - q)] = w
+        yield m - deg, head + (0,) * (m - q), w
         room = budget - deg
         if room <= 0:
             continue
@@ -197,6 +202,14 @@ def expand_power_window(field, m: int, floor: int) -> dict[int, FreePoly]:
                 wk = from_int(nk)
                 if wk:
                     stack.append((lead + (k,), deg + k, nk, wk))
+
+
+def expand_power_window(field, m: int, floor: int) -> dict[int, FreePoly]:
+    """Coefficients a_t of (x0 X)^m for all t >= floor, in closed form: the
+    terms of `window_terms` collected, keyed by descending t."""
+    out: dict[int, dict] = {}
+    for t, word, w in window_terms(field, m, floor):
+        out.setdefault(t, {})[word] = w
     return {t: FreePoly(field, out[t]) for t in sorted(out, reverse=True)}
 
 

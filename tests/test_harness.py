@@ -1,6 +1,7 @@
 """Verification campaigns: reports, determinism, and the dispatch registry."""
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 
@@ -14,7 +15,12 @@ from dpring.construction import (
 )
 from dpring.fields import PrimeField, RationalField
 from dpring.freealg import FreePoly
-from dpring.ore import PowerCoefficient, expand_power_window
+from dpring.ore import (
+    PowerCoefficient,
+    expand_power,
+    expand_power_window,
+    window_terms,
+)
 from dpring.harness import (
     CAMPAIGNS,
     CampaignReport,
@@ -114,6 +120,58 @@ def test_verify_ballot():
 def test_verify_ballot_gf2():
     rep = verify_ballot(PrimeField(2), m_max=5)
     assert rep.verdict == "pass"
+
+
+def _drop(terms, i):
+    del terms[i]
+
+
+def _reweigh(terms, i):
+    t, word, weight = terms[i]
+    terms[i] = (t, word, weight + 1)
+
+
+def _repeat(terms, i):
+    terms.insert(i, terms[i])
+
+
+def _add_foreign(terms, i):
+    # a word of a_2's degree that is no ballot word, so no power has it
+    terms.append((2, (2, 0, 0, 0), 1))
+
+
+@pytest.mark.parametrize("touch", [_drop, _reweigh, _repeat, _add_foreign])
+def test_verify_ballot_window_stream_mismatch(touch, monkeypatch):
+    # one term of a_2 in (x0 X)^4's window stream touched: the m=4 record
+    # fails and names t = 2, every other record passes
+    def stream(field, m, floor):
+        terms = list(window_terms(field, m, floor))
+        if m == 4:
+            touch(terms, next(i for i, (t, _, _) in enumerate(terms) if t == 2))
+        return iter(terms)
+    monkeypatch.setattr(harness, "window_terms", stream)
+    rep = verify_ballot(Q, m_max=5)
+    failed = [c for c in rep.checks if c.verdict == "fail"]
+    assert [c.component for c in failed] == ["m=4"]
+    assert failed[0].detail["window_mismatch"] == 2
+
+
+def test_verify_ballot_holds_one_power_at_a_time():
+    # Building the window beside the power, with a set of every word, peaked
+    # at about 1.6 times the power's own expansion; streaming the window
+    # against one power at a time peaks below it (about 0.85), so the bound
+    # tells the two designs apart.
+    field = PrimeField(2**31 - 1)
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    alone = peak(lambda: expand_power(field, 10))
+    assert peak(lambda: verify_ballot(field, m_max=10)) <= 1.25 * alone
 
 
 def test_verify_z_closure():

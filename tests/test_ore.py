@@ -18,6 +18,7 @@ from dpring.ore import (
     is_ballot_word,
     ore_from_text,
     ore_to_text,
+    window_terms,
 )
 
 Q = RationalField()
@@ -236,6 +237,16 @@ def test_window_mod_p():
                 window = expand_power_window(f, m, floor)
                 assert window == {t: q for t, q in full.items()
                                   if t >= floor}, (p, m, floor)
+
+
+@pytest.mark.parametrize("field", [Q, PrimeField(2)])
+def test_window_terms_distinct_and_nonzero(field):
+    # a stream checked term by term against a full expansion relies on both
+    for m in range(11):
+        seen = set()
+        for t, word, weight in window_terms(field, m, 0):
+            assert (t, word) not in seen and weight, (m, t, word)
+            seen.add((t, word))
 
 
 def test_window_80_77_pinned():
