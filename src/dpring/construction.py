@@ -1126,18 +1126,21 @@ class SpanOracle:
             self._echelons[query] = ech
         return ech
 
-    def _check_query_input(self, a: FreePoly, query: SpanQuery):
+    def _check_query_input(self, a, query: SpanQuery) -> bool:
+        """Refuse a query, a FreePoly or a lazy coefficient, over another
+        field or off the query's component; True when a is zero."""
         if a.field != self.params.field:
-            raise ValueError("query polynomial is over the wrong field")
-        if a.is_zero():
-            return True
+            raise ValueError("query is over the wrong field")
         L, d = query.length, query.degree
-        for w in a.terms:
-            if len(w) != L or sum(w) != d:
-                raise ValueError(
-                    f"query polynomial is not homogeneous of component "
-                    f"({L}, {d}): bigrade {a.bigrade()}"
-                )
+        if isinstance(a, FreePoly):
+            if a.is_zero():
+                return True
+            off = any(len(w) != L or sum(w) != d for w in a.terms)
+        else:
+            off = a.bigrade() != (L, d)
+        if off:
+            raise ValueError(f"query of bigrade {a.bigrade()} is not "
+                             f"homogeneous of component ({L}, {d})")
         return False
 
     def member(self, a: FreePoly, query: SpanQuery) -> MembershipCertificate:
@@ -1186,11 +1189,7 @@ class SpanOracle:
         if query.space != "collisions":
             raise ValueError(f"classes partition the collisions span, not "
                              f"{query.space!r}")
-        if a.field != self.params.field:
-            raise ValueError("query coefficient is over the wrong field")
-        if a.bigrade() != (query.length, query.degree):
-            raise ValueError(f"coefficient of component {a.bigrade()} queried "
-                             f"at ({query.length}, {query.degree})")
+        self._check_query_input(a, query)
         sums = self._engine(query).class_sums(query, a)
         live = [rep for rep, c in sums.items() if c]
         if not live:
@@ -1205,20 +1204,19 @@ class SpanOracle:
         certificate is recounted and its sums recomputed, both from the
         slots alone.  a is a FreePoly or a lazy coefficient, read through
         `get` by functionals and through `weigh` by classes; it has no terms
-        for a member combination to sum to.  a over another field fails."""
-        if a.field != self.params.field:
+        for a member combination to sum to.  A query `_check_query_input`
+        refuses, over another field or off the component, fails."""
+        try:
+            self._check_query_input(a, query)
+        except ValueError:
             return False
         lazy = not isinstance(a, FreePoly)
         vec = a if lazy else a.terms
         if cert.kind == "classes":
-            if lazy:
-                grades, weigh = {a.bigrade()}, a.weigh
-            else:
-                grades = set(map(word_stats, vec))
-                weigh = {tuple((p, x) for p, x in enumerate(w) if x): c
-                         for w, c in vec.items()}.get
+            weigh = a.weigh if lazy else {
+                tuple((p, x) for p, x in enumerate(w) if x): c
+                for w, c in vec.items()}.get
             return (query.space == "collisions"
-                    and grades <= {(query.length, query.degree)}
                     and _classes_vanish(self.params, query, weigh, cert.classes))
         if lazy and cert.kind == "member":
             return False

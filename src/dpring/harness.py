@@ -565,57 +565,60 @@ def verify_products(params: ConstructionParams, k: int = 1, trials: int = 20,
 # -- escape of windowed coefficients ----------------------------------------------
 
 
-def _window_cross_check(params: ConstructionParams, k: int, m: int,
-                        oracle: SpanOracle) -> bool:
+def _window_cross_check(params: ConstructionParams, k: int, m: int, top: int,
+                        by_classes, oracle: SpanOracle) -> bool:
     """The descent's deliberate cross-check of the class route against the
     expanded window: the coefficient oracle reproduces every term of a_m
-    and a_{m-1}, and SpanOracle.member gives the expanded a_{m-1} the
-    verdict the classes give, verified by SpanOracle.verify, and for a
-    non-member the same functional.  a_{m-1} holds m - 1 words of m
-    letters, so it is expanded only while m^2 stays within
-    max_component_dim; past that, as at (10,3,2), a_m alone is checked."""
+    down to a_top, and SpanOracle.member gives the expanded a_top the
+    verdict of by_classes, the descent's certificate for it, verified by
+    SpanOracle.verify, and for a non-member the same functional."""
     field = params.field
-    top = m - 1 if m * m <= oracle.budgets.max_component_dim else m
     window = expand_power_window(field, m, top)
     ok = all(PowerCoefficient(field, m, t).get(w) == c
              for t, p in window.items() for w, c in p.terms.items())
     a = window[top]
     q = SpanQuery("collisions", m, m - top, level=k)
     cert = oracle.member(a, q)
-    by_classes = oracle.class_member(PowerCoefficient(field, m, top), q)
     same = (cert.kind == "member" if by_classes.kind == "classes"
             else cert == by_classes)
     return ok and same and oracle.verify(a, q, cert)
 
 
 def _descend(params: ConstructionParams, k: int, h: int, oracle: SpanOracle):
-    """Walk the coefficients a_i of (x0 X)^m, m = h*N - 1, top-down until one
-    escapes the level-k collision span.
-
-    No coefficient is materialised: each a_i is a lazy `PowerCoefficient`,
-    certified from its repeat-free classes (`SpanOracle.class_member`).
-    Below degree h k(k+1)/2 there is no such class, so the whole component
-    lies in the span; the first nonzero class sum gives the escape its
-    functional.  The number of classes is capped by max_component_dim.  A
-    degenerate level has no collision span to escape and is refused first.
-    Returns (m, floor, escape, tail, agree): escape is (i, a_i, query,
-    certificate) or None, tail the same for each member above it, and agree
-    the outcome of `_window_cross_check`.
+    """Walk the coefficients a_i of (x0 X)^m, m = h*N - 1, top-down until
+    one escapes the level-k collision span, verifying each certificate when
+    it is made.  Each a_i is a lazy `PowerCoefficient`, never materialised,
+    whose repeat-free classes (at most max_component_dim) are walked once by
+    `SpanOracle.class_member`.  `_window_cross_check` reuses the certificate
+    of a_top: a_{m-1}, m - 1 words of m letters, while m^2 stays within
+    max_component_dim, a_m past that, as at (10,3,2).  A walk that never
+    reaches a_top, as at (3,2,1) where m = 2 lies below the floor 3,
+    certifies a_top for the cross-check alone.  A degenerate level is
+    refused first.  Returns (m, floor, escape, above, ok): escape is (i,
+    certificate) or None, above the members certified above it, and ok
+    whether every certificate verified and the cross-check agreed.
     """
     params.slots(k)
     field = params.field
     m = h * params.block(k) - 1
     floor = (k + 2) * (m + 1) // (2 * (k + 1)) + 1
-    agree = _window_cross_check(params, k, m, oracle)
-    tail = []
-    for i in range(m, floor - 1, -1):
+    top = m - 1 if m * m <= oracle.budgets.max_component_dim else m
+    certs, verified = {}, []
+
+    def certify(i: int):
         a = PowerCoefficient(field, m, i)
         q = SpanQuery("collisions", m, m - i, level=k)
-        cert = oracle.class_member(a, q)
-        if cert.kind == "non_member":
-            return m, floor, (i, a, q, cert), tail, agree
-        tail.append((i, a, q, cert))
-    return m, floor, None, tail, agree
+        cert = certs[i] = oracle.class_member(a, q)
+        verified.append(oracle.verify(a, q, cert))
+        return cert
+
+    i = m
+    while i >= floor and certify(i).kind != "non_member":
+        i -= 1
+    escape = (i, certs[i]) if i >= floor else None
+    by_classes = certs[top] if top in certs else certify(top)
+    verified.append(_window_cross_check(params, k, m, top, by_classes, oracle))
+    return m, floor, escape, m - i, all(verified)
 
 
 def locate_escape(params: ConstructionParams, k: int = 1, h: int = 1,
@@ -623,28 +626,25 @@ def locate_escape(params: ConstructionParams, k: int = 1, h: int = 1,
     """Find the largest coefficient of (x0 X)^(h*N-1) outside the level-k
     collision span and check it beats the strict threshold
     (k+2)(m+1) / (2(k+1)); every coefficient above it is a certified
-    member.  The coefficients are certified from their repeat-free classes
-    and never materialised (`_descend`), and every certificate, with the
-    window cross-check, is re-verified.
+    member.  The descent (`_descend`) certifies and re-verifies every
+    coefficient and runs the window cross-check; this campaign adds only
+    the threshold.
     """
     _at_least(1, h=h)
     field = params.field
     rep = CampaignReport("escape", {**_params_dict(params), "level": k, "h": h})
-    oracle = SpanOracle(params, budgets)
-    m, floor, escape, tail, agree = _descend(params, k, h, oracle)
+    m, floor, escape, above, ok = _descend(params, k, h,
+                                           SpanOracle(params, budgets))
     if escape is None:
         rep.add("a window coefficient escapes the collision span",
                 f"m={m}", False, {"floor": floor, "note": "no escape found"})
         return rep
-    i, a, q, cert = escape
-    bound_strict = 2 * (k + 1) * i > (k + 2) * (m + 1)
-    ok = (bound_strict and agree and oracle.verify(a, q, cert)
-          and all(oracle.verify(ta, tq, tc) for _, ta, tq, tc in tail))
+    i, cert = escape
     rep.add("a window coefficient escapes the collision span",
-            f"m={m}", ok,
+            f"m={m}", ok and 2 * (k + 1) * i > (k + 2) * (m + 1),
             {"escape_index": i, "floor": floor,
              "threshold": f"{(k + 2) * (m + 1)}/{2 * (k + 1)}",
-             "members_above": len(tail),
+             "members_above": above,
              "certificate": summarize_certificate(field, cert)})
     return rep
 
@@ -665,8 +665,9 @@ def verify_counterexample(params: ConstructionParams, h_max: int = 2,
     the truncated ideal too, while the degree-zero subalgebra is visibly nil
     modulo it.
 
-    For each h <= h_max the escape coefficient of (x0 X)^(h*N-1) gets
-    non-membership certificates against both the collision span and the
+    For each h <= h_max the descent (`_descend`) certifies and re-verifies
+    the escape of (x0 X)^(h*N-1) from the collision span and every member
+    above it; this campaign adds the escape's certificate against the
     truncated ideal.  Positively, x0^(2N) generates: it is a member of the
     level-1 ideal family, and random products of 2N degree-zero elements
     reduce to zero against the ideal in every component, so products must
@@ -682,15 +683,14 @@ def verify_counterexample(params: ConstructionParams, h_max: int = 2,
     rng = random.Random(seed)
     oracle = SpanOracle(params, budgets)
     for h in range(1, h_max + 1):
-        m, floor, escape, tail, agree = _descend(params, k, h, oracle)
+        m, floor, escape, above, ok = _descend(params, k, h, oracle)
         if escape is None:
             rep.add("escape avoids the collision span", f"h={h}", False,
                     {"floor": floor})
             continue
-        i, a, q, cert = escape
-        ok = agree and oracle.verify(a, q, cert)
+        i, cert = escape
         rep.add("escape avoids the collision span", f"h={h}, ({m}, {m - i})",
-                ok, {"escape_index": i, "members_above": len(tail),
+                ok, {"escape_index": i, "members_above": above,
                      "certificate": summarize_certificate(field, cert)})
         # the ideal echelon needs the escape written out
         a = expand_power_window(field, m, i)[i]

@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from dpring import harness
+from dpring import construction, harness
 from dpring.budgets import Budgets
 from dpring.construction import (
     ConstructionParams,
@@ -15,6 +15,7 @@ from dpring.construction import (
 )
 from dpring.fields import PrimeField, RationalField
 from dpring.freealg import FreePoly
+from dpring.membership import MembershipCertificate
 from dpring.ore import (
     PowerCoefficient,
     expand_power,
@@ -254,6 +255,46 @@ def test_escape_descent_materialises_no_coefficient(monkeypatch):
     rep = locate_escape(ConstructionParams(10, 3, 2, Q), k=2, h=1)
     assert rep.verdict == "pass"
     assert windows == [(9999, 9999)]
+    # at (3,2,1) m = 2 lies below the floor 3: nothing is walked, and the
+    # cross-check still runs on a_1
+    windows.clear()
+    [check] = locate_escape(ConstructionParams(3, 2, 1, Q)).checks
+    assert check.detail == {"floor": 3, "note": "no escape found"}
+    assert windows == [(2, 1)]
+
+
+def test_escape_descent_walks_each_coefficient_once(monkeypatch):
+    # the cross-check reuses the descent's certificate for a_79, so the
+    # classes of a_80 .. a_77 are walked once each
+    walked = []
+    class_sums = construction._CollisionWindows.class_sums
+
+    def counted(self, query, a):
+        walked.append(a.t)
+        return class_sums(self, query, a)
+    monkeypatch.setattr(construction._CollisionWindows, "class_sums", counted)
+    rep = locate_escape(ConstructionParams(3, 2, 2, Q), k=2, h=1)
+    assert rep.verdict == "pass"
+    assert walked == [80, 79, 78, 77]
+
+
+def test_escape_descent_verifies_the_members_above_the_escape(monkeypatch):
+    # a foreign class in every "classes" certificate: the members above each
+    # escape carry one, and both campaigns must refuse them
+    class_member = SpanOracle.class_member
+
+    def forged(self, a, query):
+        cert = class_member(self, a, query)
+        if cert.kind != "classes":
+            return cert
+        return MembershipCertificate("classes",
+                                     classes=cert.classes + [((0, 99),)])
+    monkeypatch.setattr(SpanOracle, "class_member", forged)
+    rep = verify_counterexample(P10, h_max=2, products=2)
+    verdicts = [c.verdict for c in rep.checks
+                if c.claim == "escape avoids the collision span"]
+    assert verdicts == ["fail", "fail"]
+    assert locate_escape(P10).verdict == "fail"
 
 
 def test_verify_counterexample():
