@@ -14,10 +14,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import harness
-from .budgets import DEFAULT_BUDGETS, BudgetExceeded, Budgets
+from .budgets import BudgetExceeded, Budgets
 from .construction import (
     ConstructionParams,
     ParamsError,
@@ -49,15 +49,14 @@ class ConfigError(ValueError):
 # -- config files -------------------------------------------------------------
 
 
+# config key -> ConstructionParams field
+_PARAM_KEYS = {"b": "base", "r": "ratio", "k_max": "k_max"}
+_BUDGET_KEYS = tuple(cap.name for cap in fields(Budgets))
 _CONFIG_KEYS = {
-    "b": int,
-    "r": int,
-    "k_max": int,
+    **dict.fromkeys(_PARAM_KEYS, int),
     "field": str,
     "prime": int,
-    "max_expand_m": int,
-    "max_component_dim": int,
-    "max_basis_size": int,
+    **dict.fromkeys(_BUDGET_KEYS, int),
     "seed": int,
     "output": str,
 }
@@ -109,34 +108,27 @@ def parse_config_text(text: str) -> dict:
 def build_run_config(raw: dict) -> RunConfig:
     """Turn a raw key mapping into a validated RunConfig.
 
-    Defaults: b=10, r=3, k_max=1, field=rationals, standard budgets, seed=0.
-    Field and parameter constructors raise on invalid values (for example
-    b = 1 violates base >= 2).
+    A key left out takes the default of ConstructionParams, Budgets or
+    RunConfig; the field is the rationals unless named.  Field and parameter
+    constructors raise on invalid values (for example b = 1 violates
+    base >= 2).
     """
     try:
         field = make_field(raw.get("field", "rationals"), raw.get("prime"))
     except FieldError as exc:
         raise ConfigError(str(exc)) from None
     try:
-        params = ConstructionParams(
-            base=raw.get("b", 10),
-            ratio=raw.get("r", 3),
-            k_max=raw.get("k_max", 1),
-            field=field,
-        )
+        params = ConstructionParams(field=field, **{
+            name: raw[key] for key, name in _PARAM_KEYS.items() if key in raw})
     except ParamsError as exc:
         raise ConfigError(str(exc)) from None
     try:
-        budgets = Budgets(
-            max_expand_m=raw.get("max_expand_m", DEFAULT_BUDGETS.max_expand_m),
-            max_component_dim=raw.get("max_component_dim",
-                                      DEFAULT_BUDGETS.max_component_dim),
-            max_basis_size=raw.get("max_basis_size", DEFAULT_BUDGETS.max_basis_size),
-        )
+        budgets = Budgets(**{key: raw[key] for key in _BUDGET_KEYS
+                             if key in raw})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return RunConfig(params=params, budgets=budgets,
-                     seed=raw.get("seed", 0), output=raw.get("output"))
+    return RunConfig(params, budgets, **{
+        key: raw[key] for key in ("seed", "output") if key in raw})
 
 
 def load_run_config(path: str | None, seed_override: int | None = None,

@@ -163,9 +163,11 @@ class ConstructionParams:
         c = self.checkpoints(k)
         return all(c[i] < c[i + 1] for i in range(len(c) - 1))
 
+    @functools.cache
     def slots(self, k: int) -> tuple[int, ...]:
         """0-based indices of c_1 .. c_{k+1} in a level-k block word of length
-        N(k) - 1.  A degenerate level has none and raises ParamsError."""
+        N(k) - 1.  A degenerate level has none and raises ParamsError.
+        Memoized: `_collision_rank` reads it once per row it ranks."""
         self.require_level(k)
         return tuple(c - 1 for c in self.checkpoints(k)[1 : k + 2])
 
@@ -751,13 +753,6 @@ def _collision_split(params: ConstructionParams, k: int, degree: int):
         for lo in range(min(hi - 1, degree - hi) + 1)}
 
 
-@functools.cache
-def _level_slots(params: ConstructionParams, k: int) -> tuple[int, ...]:
-    """params.slots(k), memoized for `_collision_rank`, which reads it once
-    per row it ranks."""
-    return params.slots(k)
-
-
 def _collision_count(params: ConstructionParams, k: int, degree: int) -> int:
     """len(list(collision_elements(params, k, degree))), in closed form."""
     repeats, swaps = _collision_split(params, k, degree)
@@ -795,7 +790,7 @@ def _collision_rank(params: ConstructionParams, k: int, key: tuple) -> int:
         return (repeats + pair * sum(swaps.values())
                 + sum(map(swaps.get, before)) + _word_rank(rest))
     word = key[1]
-    slots = _level_slots(params, k)
+    slots = params.slots(k)
     rem, left, taken, distinct = sum(word), len(slots), set(), 0
     for i in sorted(set(itertools.compress(range(n), word)).union(slots)):
         x, slot = word[i], i in slots
@@ -981,7 +976,8 @@ class _CollisionWindows(_Windows):
         is the signed sum of a.weigh over its placements, the sign that of
         the sorts.  The normal form is the sum of class sum * representative
         over the returned {class: sum}.  Refused before the walk when the
-        component has more classes than max_component_dim.
+        component has more classes than max_component_dim, and empty without
+        a walk when the count is 0.
         """
         L, d = query.length, query.degree
         count = _class_count(self.params, query.level, L, d)
@@ -989,6 +985,8 @@ class _CollisionWindows(_Windows):
             raise BudgetExceeded(
                 f"component ({L}, {d}) has {count} repeat-free classes "
                 f"(budget {self.budgets.max_component_dim})", classes=count)
+        if not count:
+            return {}
         field = self.params.field
         fadd, fsub = field.add, field.sub
         windows = _window_slots(self.params, query.level, L)

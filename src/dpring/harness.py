@@ -32,11 +32,10 @@ from .construction import (
     signed_reorder,
     signed_reorder_word,
     span_blocks,
-    span_rows,
     words_iter,
 )
 from .fields import RationalField
-from .freealg import FreePoly, derive, derive_iter, word_to_text
+from .freealg import FreePoly, derive, word_to_text
 from .ore import (
     PowerCoefficient,
     expand_power,
@@ -390,12 +389,14 @@ def verify_inclusions(params: ConstructionParams, k: int = 1, lengths=None,
     """The generated-ideal rows sit inside the word span and the collision
     span, and the word rows inside the collision span, proved once per core:
     a `words` core fills a block, a tensor factor of the collisions quotient,
-    and an `ideal_level` core is a Leibniz sum of `words` rows.  Rows over an
-    unproved core are reduced one by one, so `failures` is exact.  `rows` is
-    counted by the layout, which refuses a family over max_basis_size though
-    it builds no row.  The first ideal row of each component is certified in
-    both spans and re-verified against the regenerated families, its
-    `collisions` combination taken by the route `SpanOracle.member` picks.
+    and an `ideal_level` core is a Leibniz sum of `words` rows; both proofs
+    read each D^l(w) from the `words` blocks of the same component.  Rows
+    over an unproved core are reduced one by one, so `failures` is exact.
+    `rows` is counted by the layout, which refuses a family over
+    max_basis_size though it builds no row.  The first ideal row of each
+    component is certified in both spans and re-verified against the
+    regenerated families, its `collisions` combination taken by the route
+    `SpanOracle.member` picks.
     test_per_core_report_matches_the_per_row_reference compares the per-core
     proofs with per-row reductions.  Each length must fit an ideal core, 2N;
     a degenerate level is refused first.
@@ -412,14 +413,11 @@ def verify_inclusions(params: ConstructionParams, k: int = 1, lengths=None,
                                         "degree_cap": degree_cap})
     oracle = SpanOracle(params, budgets)
     cache, split, fmul = {}, {}, field.mul
-
-    @functools.cache
-    def derived(l, w):  # D^l(w) of a word of at most N letters
-        return derive_iter(FreePoly.monomial(field, w), l).terms
+    core_of = {}  # (l, w) -> D^l(w), read from the words blocks
 
     @functools.cache
     def zero(l, w):  # D^l(w) on a block is zero in the collisions quotient
-        return oracle.normal_form(FreePoly(field, derived(l, w)), SpanQuery(
+        return oracle.normal_form(FreePoly(field, core_of[l, w]), SpanQuery(
             "collisions", N, l + sum(w), level=k)).is_zero()
 
     def in_both(len_u, l, w, core):
@@ -431,10 +429,10 @@ def verify_inclusions(params: ConstructionParams, k: int = 1, lengths=None,
         if (l, w, q) not in split:
             out, w2, outer = {}, w[q:q + N], w[:q] + w[q + N:]
             for b in range(l + 1):
-                for y, cy in derived(b, w2).items():
+                for y, cy in core_of[b, w2].items():
                     m = fmul(field.from_int(comb(l, b)), cy)
                     out.update((x[:q] + y + x[q:], fmul(m, cx))
-                               for x, cx in derived(l - b, outer).items())
+                               for x, cx in core_of[l - b, outer].items())
             split[l, w, q] = ({t: c for t, c in out.items() if c} == core
                               and all(zero(b, w2) for b in range(l + 1)))
         return split[l, w, q]
@@ -444,13 +442,17 @@ def verify_inclusions(params: ConstructionParams, k: int = 1, lengths=None,
             words_q = SpanQuery("words", L, d, level=k)
             coll_q = SpanQuery("collisions", L, d, level=k)
             ideal_q = SpanQuery("ideal_level", L, d, level=k)
+            # the ideal family is refused over budget before the words one
             ideal = list(span_blocks(params, ideal_q, budgets, cache))
+            words = list(span_blocks(params, words_q, budgets, cache))
+            # every (l, deg w) with l + deg w <= d has a words block
+            core_of.update(((key[2], w), c) for key, cores, _, _ in words
+                           for w, c in cores)
             bad, sample = 0, None
-            for row in itertools.islice(span_rows(params, ideal_q, budgets,
-                                                  cache), 1):
+            for _, _, rows, _ in ideal[:1]:
                 # one full certificate per component, re-verified against
                 # a regenerated family
-                a = FreePoly(field, row)
+                a = FreePoly(field, next(rows()))
                 cert_w = oracle.member(a, words_q)
                 cert_b = oracle.member(a, coll_q)
                 bad += not (cert_w.kind == "member" and cert_b.kind == "member"
@@ -466,7 +468,6 @@ def verify_inclusions(params: ConstructionParams, k: int = 1, lengths=None,
                     f"({L}, {d})", bad == 0,
                     {"rows": sum(b[-1] for b in ideal), "failures": bad,
                      "sample_certificate": sample})
-            words = list(span_blocks(params, words_q, budgets, cache))
             bad = sum(not oracle.normal_form(FreePoly(field, r), coll_q).is_zero()
                       for r in _examined(words, lambda _, l, w, c: zero(l, w)))
             rep.add("word rows lie in the collision span", f"({L}, {d})",
@@ -650,11 +651,14 @@ def locate_escape(params: ConstructionParams, k: int = 1, h: int = 1,
 
 
 def _random_zero_degree_poly(field, rng: random.Random) -> FreePoly:
-    """Random polynomial in the zeroth generator alone, without unit term."""
+    """Random polynomial in the zeroth generator alone, without unit term;
+    a coefficient zero in the field (an even one over GF(2)) is redrawn."""
     items = []
     for L in rng.sample(range(1, 4), rng.randint(1, 2)):
-        c = rng.choice((-2, -1, 1, 2))
-        items.append(((0,) * L, field.from_int(c)))
+        c = field.zero
+        while not c:
+            c = field.from_int(rng.choice((-2, -1, 1, 2)))
+        items.append(((0,) * L, c))
     return FreePoly.from_terms(field, items)
 
 

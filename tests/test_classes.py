@@ -1,6 +1,7 @@
 """The escape descent from class coefficients: the coefficient oracle, the
 repeat-free class walk of the `collisions` span, its "classes" certificate,
 and functionals checked against coefficients that are never materialised."""
+import sys
 import time
 
 import pytest
@@ -179,6 +180,26 @@ def test_class_walk_is_capped_by_the_component_budget():
             lazy, q)
     assert SpanOracle(params, Budgets(max_component_dim=count)).class_member(
         lazy, q).kind == "non_member"
+
+
+def test_a_component_with_no_class_is_answered_from_the_count():
+    # a_(m-h+1) of (x0 X)^m, m = 10h - 1, has degree h - 1 < h k(k+1)/2: no
+    # repeat-free class, so its empty certificate comes before any walk
+    params, h = ConstructionParams(10, 3, 1, Q), 3
+    m = h * params.block(1) - 1
+    q = SpanQuery("collisions", m, h - 1, level=1)
+    lazy = PowerCoefficient(Q, m, m - h + 1)
+    assert _class_count(params, 1, m, h - 1) == 0
+    called = set()
+    sys.setprofile(lambda frame, event, _: called.add(frame.f_code.co_name)
+                   if event == "call" else None)
+    try:
+        cert = SpanOracle(params).class_member(lazy, q)
+    finally:
+        sys.setprofile(None)
+    assert cert == MembershipCertificate("classes", classes=[])
+    assert "class_sums" in called and "spread" not in called
+    assert SpanOracle(params).verify(lazy, q, cert)
 
 
 # -- the "classes" certificate -------------------------------------------------------

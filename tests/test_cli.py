@@ -287,6 +287,23 @@ def test_degenerate_level_is_3(capsys, tmp_path):
     assert json.loads(out)["kind"] == "member"
 
 
+def test_counterexample_over_gf2_is_1(capsys, tmp_path):
+    # the degree-zero factors draw no coefficient that vanishes in GF(2), so
+    # the products check runs; the escape fails because A_1 = -(r - 1) = -2
+    # vanishes there, and the escape drops below the floor
+    cfg = write(tmp_path, "gf2.cfg", "field = gf\nprime = 2\n")
+    code, out, _ = run(capsys, ["verify", "--campaign", "counterexample",
+                                "--config", cfg])
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    assert [(c["component"], c["verdict"], c["detail"]) for c in checks
+            if c["claim"].startswith("products")] == [
+        ("lengths 29..53", "pass", {"products": 20, "failures": 0})]
+    assert [(c["verdict"], c["detail"]) for c in checks
+            if c["claim"] == "escape avoids the collision span"] == [
+        ("fail", {"floor": 8}), ("fail", {"floor": 16})]
+
+
 def test_member_bigrade_mismatch_is_3(capsys, tmp_path):
     poly = write(tmp_path, "p.txt", "1*x0.x0")
     code, out, _ = run(capsys, ["member", "--input", poly, "--space", "B",

@@ -133,9 +133,9 @@ def test_no_dead_local_bindings():
 
 def test_one_function_reads_the_basis_budget():
     # every span's family is counted and refused in one place, the
-    # closed-form layout; budgets.py defines the field and cli.py only
-    # passes its configured value through
-    allowed = {("construction.py", "_layout"), ("cli.py", "build_run_config")}
+    # closed-form layout; budgets.py defines the field, and cli.py takes
+    # the budget keys from the dataclass without naming one
+    allowed = {("construction.py", "_layout")}
     found = set()
     for name, tree in parsed():
         if name == "budgets.py":
@@ -152,16 +152,16 @@ def test_one_function_reads_the_basis_budget():
 def test_one_function_builds_the_span_cores():
     # a span's cores, the derivatives D^l(w) and the collision elements,
     # are built and memoized in one place that every row and window echelon
-    # reads (the layout only counts them); a second builder would be a
-    # second row order
-    tree = dict(parsed())["construction.py"]
-    found = {getattr(scope, "name", type(scope).__name__)
+    # reads (the layout only counts them); a second builder, in any module,
+    # would be a second row order or a second copy of the cores
+    found = {(name, getattr(scope, "name", type(scope).__name__))
+             for name, tree in parsed()
              for scope in ast.walk(tree)
              if isinstance(scope, (ast.Module, *SCOPES))
              for node in _own_nodes(scope)
              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
              and node.id in ("derive_iter", "collision_elements")}
-    assert found == {"_cores"}
+    assert found == {("construction.py", "_cores")}
 
 
 def test_only_extend_inserts_rows_into_an_echelon():
