@@ -1236,11 +1236,18 @@ def signed_reorder_word(params: ConstructionParams, k: int, word: tuple):
     with those letters rewritten in target order, signed by the permutation's
     parity; otherwise the image is zero (returns None).
     """
-    slots = params.slots(k)  # refuses a degenerate level
-    length = params.block(k) - 1
+    return _reorder_word(*_reorder_frame(params, k), word)
+
+
+def _reorder_frame(params: ConstructionParams, k: int):
+    """The level-k reorder's slots, target letters and word length, read
+    once per call of the reorder; a degenerate level is refused."""
+    return params.slots(k), params.checkpoints(k)[: k + 1], params.block(k) - 1
+
+
+def _reorder_word(slots, targets, length: int, word: tuple):
     if len(word) != length:
         raise ValueError(f"wrong length: expected {length}, got {len(word)}")
-    targets = params.checkpoints(k)[: k + 1]
     letters = [word[i] for i in slots]
     if sorted(letters) != targets:
         return None
@@ -1252,11 +1259,13 @@ def signed_reorder_word(params: ConstructionParams, k: int, word: tuple):
 
 
 def signed_reorder(params: ConstructionParams, k: int, a: FreePoly) -> FreePoly:
-    """Linear extension of signed_reorder_word."""
+    """Linear extension of signed_reorder_word, with the level's slots and
+    targets read once for all of a's words."""
     field = a.field
+    frame = _reorder_frame(params, k)
     items = []
     for w, c in a.terms.items():
-        img = signed_reorder_word(params, k, w)
+        img = _reorder_word(*frame, w)
         if img is None:
             continue
         sign, w2 = img

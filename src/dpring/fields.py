@@ -85,6 +85,11 @@ class RationalField:
     def mul(self, a, b):
         return _canonical(a * b)
 
+    def reduce(self, a):
+        """An exact int or Fraction, such as a sum of products of scalars,
+        as a scalar of the field."""
+        return _canonical(a)
+
     def neg(self, a):
         return -a
 
@@ -150,6 +155,10 @@ class PrimeField:
 
     def mul(self, a, b):
         return (a * b) % self.p
+
+    def reduce(self, a):
+        """An int, such as a sum of products of residues, as a residue."""
+        return a % self.p
 
     def neg(self, a):
         return (-a) % self.p

@@ -12,6 +12,7 @@ length.
 from __future__ import annotations
 
 import re
+from itertools import repeat
 from typing import Iterable
 
 from .fields import FieldError
@@ -19,6 +20,7 @@ from .fields import FieldError
 __all__ = [
     "FreePoly",
     "ShiftDerivation",
+    "add_into",
     "word_stats",
     "word_key",
     "word_to_text",
@@ -123,17 +125,8 @@ class FreePoly:
             raise ValueError("mixed coefficient fields")
 
     def __add__(self, other: "FreePoly") -> "FreePoly":
-        self._check_compatible(other)
-        field = self.field
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            acc = terms.get(w)
-            c = c if acc is None else field.add(acc, c)
-            if c:
-                terms[w] = c
-            else:
-                terms.pop(w, None)
-        return FreePoly(field, terms)
+        """The sum, as a new polynomial (see `add_into`)."""
+        return add_into(FreePoly(self.field, dict(self.terms)), other)
 
     def __neg__(self) -> "FreePoly":
         neg = self.field.neg
@@ -151,9 +144,27 @@ class FreePoly:
         return FreePoly(field, {w: mul(c, scalar) for w, c in self.terms.items()})
 
     def __mul__(self, other: "FreePoly") -> "FreePoly":
+        """The product: words concatenated, coefficients multiplied.
+
+        When a factor has one term, concatenation with its fixed word is
+        injective and a field has no zero divisors, so the other factor's
+        terms map straight into a new dict, with no collision or
+        cancellation to check.  Either way the words come in the order
+        (self's word, other's word).
+        """
         self._check_compatible(other)
         field = self.field
         fmul, fadd = field.mul, field.add
+        if len(other.terms) == 1:
+            [(w2, c2)] = other.terms.items()
+            return FreePoly(field, dict(zip(
+                map(tuple.__add__, self.terms, repeat(w2)),
+                map(fmul, self.terms.values(), repeat(c2)))))
+        if len(self.terms) == 1:
+            [(w1, c1)] = self.terms.items()
+            return FreePoly(field, dict(zip(
+                map(w1.__add__, other.terms),
+                map(fmul, repeat(c1), other.terms.values()))))
         out: dict = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
@@ -178,6 +189,30 @@ class FreePoly:
 
     def __repr__(self):
         return f"FreePoly({poly_to_text(self)!r})"
+
+
+def add_into(q: FreePoly, p: FreePoly) -> FreePoly:
+    """q + p, written into q's own dict and returned as q, so q must be a
+    polynomial its caller owns and no one else holds.
+
+    Supports that share no word are merged by one dict update, in the order
+    a term-by-term sum gives: q's words, then p's.  Otherwise p is added
+    term by term and a cancelled word is dropped.
+    """
+    q._check_compatible(p)
+    terms = q.terms
+    if terms.keys().isdisjoint(p.terms.keys()):
+        terms.update(p.terms)
+        return q
+    fadd = q.field.add
+    for w, c in p.terms.items():
+        acc = terms.get(w)
+        c = c if acc is None else fadd(acc, c)
+        if c:
+            terms[w] = c
+        else:
+            terms.pop(w, None)
+    return q
 
 
 def derive(p: FreePoly) -> FreePoly:
@@ -218,6 +253,7 @@ class ShiftDerivation:
         return FreePoly.one(self.field)
 
     add = staticmethod(FreePoly.__add__)
+    add_into = staticmethod(add_into)
     sub = staticmethod(FreePoly.__sub__)
     is_zero = staticmethod(FreePoly.is_zero)
 

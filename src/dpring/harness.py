@@ -17,6 +17,7 @@ import functools
 import inspect
 import itertools
 import json
+import operator
 import random
 import time
 from dataclasses import dataclass, field as _dcfield
@@ -196,6 +197,22 @@ def _params_dict(params: ConstructionParams) -> dict:
 # -- ballot words in powers of the shifted generator ---------------------------
 
 
+_init = operator.itemgetter(slice(None, -1))
+
+
+def _ballot_graded(words, m: int, t: int, prefixes) -> bool:
+    """Whether every word of a_t in (x0 X)^m is proved, wholesale, to have
+    length m and degree m - t and to be a ballot word.  By induction: the
+    letters of such a word sum to m - t, which stays below its length when
+    t >= 1, so it is a ballot word when its prefix w[:-1] is, and
+    `prefixes` holds only ballot words, those of (x0 X)^(m-1).  False
+    proves nothing: the caller then tests word by word."""
+    return (t >= 1 and prefixes is not None
+            and all(map(m.__eq__, map(len, words)))
+            and all(map((m - t).__eq__, map(sum, words)))
+            and all(map(prefixes.__contains__, map(_init, words))))
+
+
 def verify_ballot(field=None, m_max: int = 8,
                   budgets: Budgets = DEFAULT_BUDGETS) -> CampaignReport:
     """Expand (x0 X)^m for m <= m_max and audit the coefficient structure.
@@ -209,6 +226,13 @@ def verify_ballot(field=None, m_max: int = 8,
     matches the power term by term.  The converse (every ballot word appears
     with nonzero coefficient) is reported informationally.  An m_max over
     max_expand_m is refused before any expansion.
+
+    The word test runs per coefficient with C-level maps (`_ballot_graded`),
+    against the previous power's words as a set of proved ballot prefixes.
+    That set is collected after each product, only when the previous power
+    had no offender, and released before the walk.  A coefficient the maps
+    do not prove is tested word by word, so the offender reported (the last
+    failing word in term order) is the same either way.
     """
     _at_least(0, m_max=m_max)
     if m_max > budgets.max_expand_m:
@@ -217,17 +241,23 @@ def verify_ballot(field=None, m_max: int = 8,
     field = field or RationalField()
     rep = CampaignReport("ballot", {"field": field_label(field), "m_max": m_max})
     step, full = expand_power(field, 1), expand_power(field, 0)
+    clean, prefixes = False, None  # whether the last power had no offender
     for m in range(0, m_max + 1):
         if m:
             full = full * step
+            if clean:  # the last power's words, which its terms still hold
+                prefixes = set().union(*terms.values())
         ok = True
         detail: dict = {}
         terms = {t: coeff.terms for t, coeff in full.coeffs.items()}
         for t, words in terms.items():
+            if _ballot_graded(words, m, t, prefixes):
+                continue
             for w in words:
                 if len(w) != m or sum(w) != m - t or not is_ballot_word(w):
                     ok = False
                     detail["offender"] = {"t": t, "word": word_to_text(w)}
+        clean, prefixes = ok, None  # released before the walk
         # an offender may sit in two coefficients, so count it once
         monomials = (sum(map(len, terms.values())) if ok
                      else len(set().union(*terms.values())))

@@ -47,8 +47,10 @@ class OrePoly:
     """Sparse element of R[X; D]: map from X-exponent to nonzero coefficient.
 
     `ring` is the coefficient ring with its derivation: calling it derives,
-    and it supplies `field`, `zero()`, `one()`, `add`, `sub`, `is_zero` and
-    `scaled(a, b, w) = a * (w b)`.  Zero coefficients are dropped.
+    and it supplies `field`, `zero()`, `one()`, `add`, `sub`, `is_zero`,
+    `scaled(a, b, w) = a * (w b)`, which returns a new element, and
+    `add_into(q, p) = q + p`, which may reuse q's storage.  Zero
+    coefficients are dropped.
     """
 
     __slots__ = ("ring", "coeffs")
@@ -92,27 +94,43 @@ class OrePoly:
 
     def __mul__(self, other: "OrePoly") -> "OrePoly":
         """(sum a_i X^i) * (sum b_j X^j), passing X^i over b_j by the closed
-        form, each binomial reduced into the field first."""
+        form X^i b = sum_t C(i, t) D^t(b) X^(i-t), each binomial reduced into
+        the field first.
+
+        Each b_j is derived once per product, up to the highest i or until
+        a derivative vanishes (all higher ones vanish as well), and its
+        chain D^t(b_j) is shared by every a_i.  Each coefficient of the
+        result is accumulated in place (`add_into`), in the order (i, j, t),
+        so the result, its dict order included, is the one a per-(i, j)
+        derivation with fresh sums gives.
+        """
         self._check_compatible(other)
         ring = self.ring
-        derive, scaled, add, is_zero = ring, ring.scaled, ring.add, ring.is_zero
+        derive, scaled, is_zero = ring, ring.scaled, ring.is_zero
+        add_into = ring.add_into
         from_int = ring.field.from_int
+        top = max(self.coeffs, default=0)
+        chains = []
+        for j, b in other.coeffs.items():
+            chain = [b]
+            while len(chain) <= top:
+                d = derive(chain[-1])
+                if is_zero(d):
+                    break
+                chain.append(d)
+            chains.append((j, chain))
         out: dict = {}
         for i, a in self.coeffs.items():
-            for j, b in other.coeffs.items():
-                dtb = b
-                for t in range(i + 1):
-                    if t:
-                        dtb = derive(dtb)
-                    if is_zero(dtb):
-                        break  # all higher derivatives vanish as well
+            for j, chain in chains:
+                for t, dtb in enumerate(chain[:i + 1]):
                     w = from_int(comb(i, t))
                     if not w:
                         continue
                     p = scaled(a, dtb, w)
                     e = i - t + j
                     q = out.get(e)
-                    s = p if q is None else add(q, p)
+                    # every value in out is this product's own to reuse
+                    s = p if q is None else add_into(q, p)
                     if is_zero(s):
                         out.pop(e, None)
                     else:

@@ -14,6 +14,8 @@ exactly.
 
 from __future__ import annotations
 
+from operator import mul
+
 from .ore import OrePoly
 
 __all__ = [
@@ -60,26 +62,18 @@ def mat_scale(field, a, c):
     return tuple(tuple(field.mul(c, v) for v in row) for row in a)
 
 
-def mat_mul(field, a, b):
+def mat_mul(field, a, b, w=1):
+    """The product a (w b), with w one unless given.  Each entry is one
+    exact sum of products, of ints or Fractions, times w, reduced once into
+    the field by `field.reduce`."""
     cols = tuple(zip(*b))
-    out = []
-    for row in a:
-        out.append(tuple(
-            _dot(field, row, col) for col in cols
-        ))
-    return tuple(out)
-
-
-def _dot(field, xs, ys):
-    acc = field.zero
-    for x, y in zip(xs, ys):
-        if x and y:
-            acc = field.add(acc, field.mul(x, y))
-    return acc
+    reduce = field.reduce
+    return tuple(tuple(reduce(w * sum(map(mul, row, col))) for col in cols)
+                 for row in a)
 
 
 def mat_is_zero(a) -> bool:
-    return all(not v for row in a for v in row)
+    return not any(map(any, a))
 
 
 def is_strictly_upper(a) -> bool:
@@ -113,8 +107,14 @@ class InnerDerivation:
         self.n = len(u)
 
     def __call__(self, a):
-        f = self.field
-        return mat_sub(f, mat_mul(f, self.u, a), mat_mul(f, a, self.u))
+        """u a - a u, each entry one exact difference of two sums of
+        products, reduced once into the field."""
+        reduce = self.field.reduce
+        return tuple(
+            tuple(reduce(sum(map(mul, u_row, a_col))
+                         - sum(map(mul, a_row, u_col)))
+                  for a_col, u_col in zip(zip(*a), zip(*self.u)))
+            for u_row, a_row in zip(self.u, a))
 
     def zero(self):
         return zero_matrix(self.field, self.n)
@@ -125,6 +125,8 @@ class InnerDerivation:
     def add(self, a, b):
         return mat_add(self.field, a, b)
 
+    add_into = add  # matrices are immutable tuples, so nothing is reused
+
     def sub(self, a, b):
         return mat_sub(self.field, a, b)
 
@@ -132,8 +134,7 @@ class InnerDerivation:
 
     def scaled(self, a, b, w):
         """a * (w b) for a nonzero scalar w."""
-        f = self.field
-        return mat_mul(f, a, mat_scale(f, b, w))
+        return mat_mul(self.field, a, b, w)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, InnerDerivation)
@@ -164,8 +165,9 @@ def invert_one_minus(c, p: int, D: InnerDerivation) -> OrePoly:
     """
     if not is_strictly_upper(c):
         raise ValueError("c must lie in the strictly upper-triangular ring")
-    if p <= s_index(c, D):
-        raise ValueError(f"need p > s_index(c) = {s_index(c, D)}, got {p}")
+    s = s_index(c, D)
+    if p <= s:
+        raise ValueError(f"need p > s_index(c) = {s}, got {p}")
     one = OrePoly.one(D)
     g = OrePoly(D, {p: c})
     inv = one

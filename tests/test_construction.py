@@ -766,6 +766,8 @@ def test_signed_reorder_word_cases():
         signed_reorder_word(P10, 1, (0, 0, 0))
     with pytest.raises(ParamsError):
         signed_reorder_word(P222, 1, (0,))  # degenerate level refuses
+    with pytest.raises(ParamsError):
+        signed_reorder(P222, 1, FreePoly.zero(Q))  # even with no word to map
 
 
 def test_signed_reorder_kills_collision_elements():
@@ -778,6 +780,24 @@ def test_signed_reorder_level_two_kills_collisions():
     for degree in range(0, 2):
         for el in collision_elements(P222, 2, degree):
             assert signed_reorder(P222, 2, el.poly(Q)).is_zero(), el
+
+
+def test_signed_reorder_reads_the_checkpoints_once_per_call(monkeypatch):
+    # the level's slots and targets are read once for all of a's words, so
+    # the count does not grow with the number of terms
+    calls = []
+    checkpoints = ConstructionParams.checkpoints
+
+    def counting(self, k):
+        calls.append(k)
+        return checkpoints(self, k)
+    monkeypatch.setattr(ConstructionParams, "checkpoints", counting)
+    P222.slots(2)  # memoized, so the count below is the reorder's own
+    words = list(words_iter(P222.block(2) - 1, 3))[:40]
+    a = FreePoly(Q, {w: 1 for w in words})
+    calls.clear()
+    signed_reorder(P222, 2, a)
+    assert calls == [2]
 
 
 def test_signed_reorder_is_linear():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from dpring.fields import PrimeField, RationalField
 from dpring.freealg import (
     FreePoly,
+    add_into,
     derive,
     derive_iter,
     poly_from_text,
@@ -217,3 +218,76 @@ def test_text_round_trip_gf5(items):
     f = PrimeField(5)
     p = FreePoly.from_terms(f, items)
     assert poly_from_text(f, poly_to_text(p)) == p
+
+
+# -- one-term and disjoint fast paths, over every field kind -------------------
+
+
+FIELDS = (Q, PrimeField(2), PrimeField(3), PrimeField(2**31 - 1))
+
+
+def scalars(field):
+    """Nonzero scalars of the field: Fractions over Q, residues over GF(p)."""
+    if field.characteristic == 0:
+        return st.fractions(-4, 4, max_denominator=5).filter(bool).map(
+            field.coerce)
+    return st.integers(-10**12, 10**12).map(field.from_int).filter(bool)
+
+
+def polys(field):
+    return st.lists(st.tuples(words_st, scalars(field)), max_size=6).map(
+        lambda items: FreePoly.from_terms(field, items))
+
+
+def pairwise(p, q):
+    """p * q from the definition, every pair of terms accumulated."""
+    field = p.field
+    return FreePoly.from_terms(field, [
+        (u + v, field.mul(a, b))
+        for u, a in p.terms.items() for v, b in q.terms.items()])
+
+
+@given(st.sampled_from(FIELDS).flatmap(lambda f: st.tuples(
+    polys(f), words_st, scalars(f))))
+@settings(max_examples=80)
+def test_one_term_factor_maps_the_words(case):
+    p, word, c = case
+    one = FreePoly.monomial(p.field, word, c)
+    right, left = p * one, one * p
+    assert right == pairwise(p, one)
+    assert left == pairwise(one, p)
+    assert list(right.terms) == [w + word for w in p.terms]
+    assert list(left.terms) == [word + w for w in p.terms]
+
+
+@given(st.sampled_from(FIELDS).flatmap(lambda f: st.tuples(polys(f), polys(f))))
+@settings(max_examples=80)
+def test_disjoint_sum_is_the_merge_in_order(case):
+    p, q = case
+    q = FreePoly(q.field, {w: c for w, c in q.terms.items() if w not in p.terms})
+    before = list(p.terms.items()), list(q.terms.items())
+    s = p + q
+    assert s == FreePoly.from_terms(p.field, [*p.terms.items(), *q.terms.items()])
+    assert list(s.terms) == [*p.terms, *q.terms]
+    assert (list(p.terms.items()), list(q.terms.items())) == before
+
+
+@given(st.sampled_from(FIELDS).flatmap(lambda f: st.tuples(polys(f), polys(f))))
+@settings(max_examples=80)
+def test_products_and_sums_match_the_definition(case):
+    p, q = case
+    before = list(p.terms.items()), list(q.terms.items())
+    assert p * q == pairwise(p, q)
+    # the sum term by term, a cancelled word dropped: its items in order
+    terms = dict(p.terms)
+    for w, c in q.terms.items():
+        c = p.field.add(terms[w], c) if w in terms else c
+        terms[w] = c
+        if not c:
+            del terms[w]
+    assert list((p + q).terms.items()) == list(terms.items())
+    assert (list(p.terms.items()), list(q.terms.items())) == before
+    # add_into writes the same sum into its first argument
+    mine = FreePoly(p.field, dict(p.terms))
+    assert add_into(mine, q) is mine
+    assert list(mine.terms.items()) == list(terms.items())

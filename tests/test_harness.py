@@ -17,9 +17,11 @@ from dpring.fields import PrimeField, RationalField
 from dpring.freealg import FreePoly
 from dpring.membership import MembershipCertificate
 from dpring.ore import (
+    OrePoly,
     PowerCoefficient,
     expand_power,
     expand_power_window,
+    is_ballot_word,
     window_terms,
 )
 from dpring.harness import (
@@ -155,6 +157,82 @@ def test_verify_ballot_window_stream_mismatch(touch, monkeypatch):
     failed = [c for c in rep.checks if c.verdict == "fail"]
     assert [c.component for c in failed] == ["m=4"]
     assert failed[0].detail["window_mismatch"] == 2
+
+
+def _inject_at_four(monkeypatch, injected_terms):
+    """Give the power verify_ballot checks at m = 4 the extra (t, word,
+    weight) terms, while the product for m = 5 is taken from the true power,
+    so only the m = 4 record can see them."""
+    true_mul = OrePoly.__mul__
+    held = {}
+
+    def mul(self, other):
+        if self is held.get("injected"):
+            self = held["true"]
+        out = true_mul(self, other)
+        if max(out.coeffs, default=0) == 4:
+            coeffs = {t: dict(a.terms) for t, a in out.coeffs.items()}
+            for t, word, weight in injected_terms:
+                coeffs.setdefault(t, {})[word] = weight
+            field = out.ring.field
+            held["true"] = out
+            held["injected"] = OrePoly(out.ring, {
+                t: FreePoly(field, terms) for t, terms in coeffs.items()})
+            return held["injected"]
+        return out
+    monkeypatch.setattr(OrePoly, "__mul__", mul)
+
+
+@pytest.mark.parametrize("injected, offender", [
+    # a word of a_2's grade that is no ballot word
+    ([(2, (2, 0, 0, 0), 1)], {"t": 2, "word": "x2.x0.x0.x0"}),
+    # a ballot word one letter short
+    ([(2, (0, 0, 1), 1)], {"t": 2, "word": "x0.x0.x1"}),
+    # a word of a_3 put in a_2 as well: its prefix is proved, its degree
+    # is not a_2's
+    ([(2, (0, 1, 0, 0), 1)], {"t": 2, "word": "x0.x1.x0.x0"}),
+    # in a_0, of its grade, with a ballot prefix from (x0 X)^3: the letters
+    # sum to the length, so it is no ballot word
+    ([(0, (0, 1, 1, 2), 1)], {"t": 0, "word": "x0.x1.x1.x2"}),
+    # both, in two coefficients: the offender is the last in term order
+    ([(3, (0, 0, 0, 1, 0), 1), (1, (1, 0, 0, 2), 1)],
+     {"t": 1, "word": "x1.x0.x0.x2"}),
+])
+def test_verify_ballot_names_an_offender_in_one_power(injected, offender,
+                                                      monkeypatch):
+    # the offending power fails with the offender a word-by-word audit
+    # names, and the power after it, with no proved prefixes to lean on,
+    # is still audited word by word and passes
+    _inject_at_four(monkeypatch, injected)
+    rep = verify_ballot(Q, m_max=6)
+    failed = [c for c in rep.checks if c.verdict == "fail"]
+    assert [c.component for c in failed] == ["m=4"]
+    assert failed[0].detail["offender"] == offender
+
+
+def test_verify_ballot_audits_a_word_with_an_unseen_prefix_word_by_word(
+        monkeypatch):
+    # over GF(2), x0.x0.x1 vanishes from (x0 X)^3, so the ballot word
+    # x0.x0.x1.x0 put into a_3 of (x0 X)^4, and into its window stream, has
+    # no proved prefix: the per-word test takes it, and it passes
+    word = (0, 0, 1, 0)
+    _inject_at_four(monkeypatch, [(3, word, 1)])
+
+    def stream(field, m, floor):
+        yield from window_terms(field, m, floor)
+        if m == 4:
+            yield 3, word, 1
+    tested = []
+
+    def ballot(w):
+        tested.append(w)
+        return is_ballot_word(w)
+    monkeypatch.setattr(harness, "window_terms", stream)
+    monkeypatch.setattr(harness, "is_ballot_word", ballot)
+    rep = verify_ballot(PrimeField(2), m_max=5)
+    assert rep.verdict == "pass"
+    assert word in tested
+    assert rep.checks[4].detail["monomials"] == 11
 
 
 def test_verify_ballot_holds_one_power_at_a_time():

@@ -1,6 +1,7 @@
 """Skew polynomials: commutation, the two power expansions, text form."""
 import hashlib
 import random
+from collections import Counter
 from math import comb
 
 import pytest
@@ -298,3 +299,90 @@ def test_window_property(m, floor):
     full = expand_power(Q, m).coeffs
     window = expand_power_window(Q, m, floor)
     assert window == {t: p for t, p in full.items() if t >= floor}
+
+
+# -- the product derives each right coefficient once ---------------------------
+
+
+class CountingShift(ShiftDerivation):
+    """The shift derivation counting, per right coefficient it started
+    from, how many derivations a product takes."""
+
+    def __init__(self, field):
+        super().__init__(field)
+        self.root = {}  # id of a derivative -> (its root's id, itself)
+        self.calls = Counter()
+
+    def __call__(self, a):
+        root = self.root.get(id(a), (id(a),))[0]
+        out = derive(a)
+        self.root[id(out)] = (root, out)
+        self.calls[root] += 1
+        return out
+
+
+def reference_product(p: OrePoly, q: OrePoly) -> OrePoly:
+    """p q with each b_j derived afresh for every a_i, as the closed form
+    reads: sum over (i, j, t) of a_i C(i, t) D^t(b_j) X^(i-t+j)."""
+    ring = p.ring
+    from_int = ring.field.from_int
+    out: dict = {}
+    for i, a in p.coeffs.items():
+        for j, b in q.coeffs.items():
+            dtb = b
+            for t in range(i + 1):
+                if t:
+                    dtb = derive(dtb)
+                if dtb.is_zero():
+                    break
+                w = from_int(comb(i, t))
+                if not w:
+                    continue
+                e = i - t + j
+                s = out.get(e, ring.zero()) + a * dtb.scale(w)
+                if s.is_zero():
+                    out.pop(e, None)
+                else:
+                    out[e] = s
+    return OrePoly(ring, out)
+
+
+FIELDS = (Q, PrimeField(2), PrimeField(3), PrimeField(2**31 - 1))
+
+
+def _scalars(field):
+    if field.characteristic == 0:
+        return st.fractions(-4, 4, max_denominator=5).filter(bool).map(
+            field.coerce)
+    return st.integers(-10**12, 10**12).map(field.from_int).filter(bool)
+
+
+def _free(field):
+    words = st.lists(st.integers(0, 3), min_size=1, max_size=3).map(tuple)
+    return st.lists(st.tuples(words, _scalars(field)), max_size=3).map(
+        lambda items: FreePoly.from_terms(field, items))
+
+
+def _ore_pair(field):
+    ring = CountingShift(field)
+    ore = st.dictionaries(st.integers(0, 4), _free(field), max_size=3).map(
+        lambda coeffs: OrePoly(ring, coeffs))
+    return st.tuples(ore, ore)
+
+
+@given(st.sampled_from(FIELDS).flatmap(_ore_pair))
+@settings(max_examples=80, deadline=None)
+def test_product_derives_each_right_coefficient_once(pair):
+    p, q = pair
+    ring = p.ring
+    ring.calls.clear()
+    got = p * q
+    top = max(p.coeffs, default=0)
+    assert set(ring.calls) <= {id(b) for b in q.coeffs.values()}
+    assert all(n <= top + 1 for n in ring.calls.values())
+    want = reference_product(p, q)
+    assert got == want
+    # the same result, dict order included
+    assert list(got.coeffs) == list(want.coeffs)
+    assert [list(a.terms) for a in got.coeffs.values()] == [
+        list(a.terms) for a in want.coeffs.values()]

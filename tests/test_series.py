@@ -2,7 +2,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dpring import series
 from dpring.fields import PrimeField, RationalField
 from dpring.ore import OrePoly
 from dpring.series import (
@@ -15,6 +18,7 @@ from dpring.series import (
     mat_is_zero,
     mat_mul,
     mat_scale,
+    mat_sub,
     nil_index,
     s_index,
     vandermonde_extract,
@@ -54,6 +58,76 @@ def test_mat_mul_units():
     # e12 e23 = e13, e23 e12 = 0
     assert mat_mul(Q, e(1, 2), e(2, 3)) == e(1, 3)
     assert mat_is_zero(mat_mul(Q, e(2, 3), e(1, 2)))
+
+
+FIELDS = (Q, PrimeField(2), PrimeField(3), PrimeField(2**31 - 1))
+
+
+def scalars(field):
+    """Scalars of the field, zero included: Fractions over Q, residues over
+    GF(p)."""
+    if field.characteristic == 0:
+        return st.fractions(-4, 4, max_denominator=5).map(field.coerce)
+    return st.integers(-10**12, 10**12).map(field.from_int)
+
+
+def matrices(field, rows, cols):
+    return st.lists(st.lists(scalars(field), min_size=cols, max_size=cols)
+                    .map(tuple), min_size=rows, max_size=rows).map(tuple)
+
+
+def reference_mul(field, a, b):
+    """a b entry by entry through field.add and field.mul."""
+    out = []
+    for row in a:
+        entries = []
+        for c in range(len(b[0])):
+            acc = field.zero
+            for x, col in zip(row, b):
+                acc = field.add(acc, field.mul(x, col[c]))
+            entries.append(acc)
+        out.append(tuple(entries))
+    return tuple(out)
+
+
+@given(st.tuples(st.sampled_from(FIELDS), st.integers(1, 4), st.integers(1, 4),
+                 st.integers(1, 4)).flatmap(lambda c: st.tuples(
+                     st.just(c[0]), matrices(c[0], c[1], c[2]),
+                     matrices(c[0], c[2], c[3]))))
+@settings(max_examples=80)
+def test_mat_mul_is_the_per_entry_reference(case):
+    field, a, b = case
+    got = mat_mul(field, a, b)
+    assert got == reference_mul(field, a, b)
+    w = field.from_int(7)
+    assert mat_mul(field, a, b, w) == reference_mul(field, a,
+                                                    mat_scale(field, b, w))
+    # each entry is a canonical scalar: an integral rational is an int, a
+    # residue lies in [0, p)
+    for v in (v for row in got for v in row):
+        if field.characteristic:
+            assert 0 <= v < field.characteristic
+        else:
+            assert type(v) is int or v.denominator != 1
+
+
+def _strict_upper(field, n):
+    cells = n * (n - 1) // 2
+    return st.lists(scalars(field), min_size=cells, max_size=cells).map(
+        lambda xs: tuple(
+            tuple(xs.pop() if c > r else field.zero for c in range(n))
+            for r in range(n)))
+
+
+@given(st.tuples(st.sampled_from(FIELDS), st.integers(2, 4)).flatmap(
+    lambda c: st.tuples(st.just(c[0]), _strict_upper(*c),
+                        matrices(c[0], c[1], c[1]))))
+@settings(max_examples=60)
+def test_inner_derivation_is_the_commutator(case):
+    field, u, a = case
+    D = InnerDerivation(field, u)
+    assert D(a) == mat_sub(field, reference_mul(field, u, a),
+                           reference_mul(field, a, u))
 
 
 def test_strictly_upper_and_nil_index():
@@ -185,6 +259,19 @@ def test_invert_one_minus_refuses_small_exponent():
     invert_one_minus(e(1, 2), 3, D)
     with pytest.raises(ValueError):
         invert_one_minus(identity_matrix(Q, 3), 5, D)
+
+
+def test_invert_one_minus_refusal_derives_c_once(monkeypatch):
+    calls = []
+
+    def counting(c, D):
+        calls.append(c)
+        return s_index(c, D)
+    monkeypatch.setattr(series, "s_index", counting)
+    D = InnerDerivation(Q, e(2, 3))
+    with pytest.raises(ValueError, match=r"^need p > s_index\(c\) = 2, got 2$"):
+        invert_one_minus(e(1, 2), 2, D)
+    assert len(calls) == 1
 
 
 def test_coefficient_identity_examples():
