@@ -92,6 +92,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from math import comb, factorial
@@ -113,7 +114,6 @@ __all__ = [
     "SpanQuery",
     "SPACES",
     "span_rows",
-    "span_blocks",
     "SpanOracle",
     "signed_reorder_word",
     "signed_reorder",
@@ -501,26 +501,6 @@ def span_rows(params: ConstructionParams, query: SpanQuery,
             partial(_cores, params, query.space, k, budgets, cache), blocks)
 
 
-def span_blocks(params: ConstructionParams, query: SpanQuery,
-                budgets: Budgets = DEFAULT_BUDGETS, _cache: dict | None = None):
-    """The row blocks of a `words` or `ideal_level` family in row order,
-    laid out and refused over max_basis_size as by `span_rows`, though no
-    row is built: (key, cores, rows, count) per block, key (len u, deg u, l,
-    deg w), cores the (w, D^l(w)) of its cores, rows() its rows in row order
-    and count their number."""
-    if query.space not in ("words", "ideal_level"):
-        raise ValueError(f"no alphabet cores in {query.space!r}")
-    cache = {} if _cache is None else _cache
-    [(k, _, blocks)] = _layout(params, query, budgets, cache)
-    core_len, _ = _blocks(params, query.space, k, query.length)
-    cores = partial(_cores, params, query.space, k, budgets, cache)
-    for key, (_, n_cores, n_v, _, _) in blocks.items():
-        words = words_iter(core_len, key[3], max_letter=k - 1)
-        yield (key, list(zip(words, cores(*key[2:]))),
-               partial(_block_rows, cores, {key: blocks[key]}),
-               count_words(*key[:2]) * n_cores * n_v)
-
-
 # -- the block-aligned spans, window by window --------------------------------
 
 
@@ -807,16 +787,12 @@ def _collision_rank(params: ConstructionParams, k: int, key: tuple) -> int:
     return _word_rank(word) - distinct
 
 
-def _sprinkle(places: list, e: int, start: int = 0):
-    """Every way to write letters of total e on places[start:], as the
-    (place, letter) pairs of the nonzero ones in ascending place."""
-    if not e:
-        yield ()
-        return
-    for i in range(start, len(places)):
-        for x in range(1, e + 1):
-            for more in _sprinkle(places, e - x, i + 1):
-                yield ((places[i], x),) + more
+def _sprinkle(places: list, e: int):
+    """Every way to write letters of total e on the ascending places, as
+    the (place, letter) pairs of the nonzero ones in ascending place: each
+    multiset of e places, a place taken as often as its letter."""
+    return (tuple(Counter(c).items())
+            for c in itertools.combinations_with_replacement(places, e))
 
 
 def _dense(length: int, letters) -> tuple:
@@ -1112,6 +1088,25 @@ class SpanOracle:
             got = self._engines[key] = _WINDOWED[query.space](
                 self.params, query.level, self.budgets, self._cache)
         return got
+
+    def blocks(self, query: SpanQuery):
+        """The row blocks of a `words` or `ideal_level` family in row order,
+        laid out and refused over max_basis_size as by `span_rows`, though no
+        row is built: (key, cores, rows, count) per block, key (len u, deg u,
+        l, deg w), cores the (w, D^l(w)) of its cores, read from the oracle's
+        cache, rows() its rows in row order and count their number."""
+        if query.space not in ("words", "ideal_level"):
+            raise ValueError(f"no alphabet cores in {query.space!r}")
+        params = self.params
+        [(k, _, blocks)] = _layout(params, query, self.budgets, self._cache)
+        core_len, _ = _blocks(params, query.space, k, query.length)
+        cores = partial(_cores, params, query.space, k, self.budgets,
+                        self._cache)
+        for key, (_, n_cores, n_v, _, _) in blocks.items():
+            words = words_iter(core_len, key[3], max_letter=k - 1)
+            yield (key, list(zip(words, cores(*key[2:]))),
+                   partial(_block_rows, cores, {key: blocks[key]}),
+                   count_words(*key[:2]) * n_cores * n_v)
 
     def echelon(self, query: SpanQuery) -> Echelon:
         """The generic echelon of the query's family.  `words` queries and

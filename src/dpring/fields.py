@@ -64,9 +64,6 @@ class RationalField:
     zero = 0
     one = 1
 
-    def from_int(self, n: int):
-        return n
-
     def coerce(self, value):
         if isinstance(value, bool):
             raise FieldError("booleans are not scalars")
@@ -86,8 +83,9 @@ class RationalField:
         return _canonical(a * b)
 
     def reduce(self, a):
-        """An exact int or Fraction, such as a sum of products of scalars,
-        as a scalar of the field."""
+        """An exact int or Fraction, such as an integer weight or a sum of
+        products of scalars, as a scalar of the field: the one map of exact
+        values into it."""
         return _canonical(a)
 
     def neg(self, a):
@@ -135,9 +133,6 @@ class PrimeField:
     def characteristic(self) -> int:
         return self.p
 
-    def from_int(self, n: int):
-        return n % self.p
-
     def coerce(self, value):
         if isinstance(value, bool):
             raise FieldError("booleans are not scalars")
@@ -157,7 +152,8 @@ class PrimeField:
         return (a * b) % self.p
 
     def reduce(self, a):
-        """An int, such as a sum of products of residues, as a residue."""
+        """An int, such as an integer weight or a sum of products of
+        residues, as a residue: the one map of exact values into the field."""
         return a % self.p
 
     def neg(self, a):

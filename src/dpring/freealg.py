@@ -146,11 +146,12 @@ class FreePoly:
     def __mul__(self, other: "FreePoly") -> "FreePoly":
         """The product: words concatenated, coefficients multiplied.
 
-        When a factor has one term, concatenation with its fixed word is
-        injective and a field has no zero divisors, so the other factor's
-        terms map straight into a new dict, with no collision or
-        cancellation to check.  Either way the words come in the order
-        (self's word, other's word).
+        When the right factor has one term, as every derivative x_t in the
+        ballot and series products does, appending its fixed word is
+        injective and a field has no zero divisors, so self's terms map
+        straight into a new dict, with no collision or cancellation to
+        check.  Either way the words come in the order (self's word,
+        other's word).
         """
         self._check_compatible(other)
         field = self.field
@@ -160,11 +161,6 @@ class FreePoly:
             return FreePoly(field, dict(zip(
                 map(tuple.__add__, self.terms, repeat(w2)),
                 map(fmul, self.terms.values(), repeat(c2)))))
-        if len(self.terms) == 1:
-            [(w1, c1)] = self.terms.items()
-            return FreePoly(field, dict(zip(
-                map(w1.__add__, other.terms),
-                map(fmul, repeat(c1), other.terms.values()))))
         out: dict = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():

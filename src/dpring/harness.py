@@ -20,7 +20,7 @@ import json
 import operator
 import random
 import time
-from dataclasses import dataclass, field as _dcfield
+from dataclasses import asdict, dataclass, field as _dcfield
 from math import comb
 
 from .budgets import BudgetExceeded, Budgets, DEFAULT_BUDGETS
@@ -32,7 +32,6 @@ from .construction import (
     collision_test,
     signed_reorder,
     signed_reorder_word,
-    span_blocks,
     words_iter,
 )
 from .fields import RationalField
@@ -116,14 +115,6 @@ class CheckRecord:
     verdict: str  # "pass" | "fail" | "info"
     detail: dict = _dcfield(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "claim": self.claim,
-            "component": self.component,
-            "verdict": self.verdict,
-            "detail": self.detail,
-        }
-
 
 @dataclass
 class CampaignReport:
@@ -148,18 +139,13 @@ class CampaignReport:
         return "fail" if any(c.verdict == "fail" for c in self.checks) else "pass"
 
     def to_dict(self) -> dict:
-        out = {
-            "schema": SCHEMA,
-            "campaign": self.campaign,
-            "parameters": self.parameters,
-            "seed": self.seed,
-            "checks": [c.to_dict() for c in self.checks],
-            "counts": self.counts(),
-            "verdict": self.verdict,
-        }
-        if self.elapsed_s is not None:
-            out["elapsed_s"] = self.elapsed_s
-        return out
+        """The fields, elapsed_s only when timed, with the schema, counts
+        and verdict."""
+        out = asdict(self)
+        if self.elapsed_s is None:
+            del out["elapsed_s"]
+        return {"schema": SCHEMA, **out, "counts": self.counts(),
+                "verdict": self.verdict}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -442,7 +428,7 @@ def verify_inclusions(params: ConstructionParams, k: int = 1, lengths=None,
                                         "lengths": list(lengths),
                                         "degree_cap": degree_cap})
     oracle = SpanOracle(params, budgets)
-    cache, split, fmul = {}, {}, field.mul
+    split, fmul = {}, field.mul
     core_of = {}  # (l, w) -> D^l(w), read from the words blocks
 
     @functools.cache
@@ -460,7 +446,7 @@ def verify_inclusions(params: ConstructionParams, k: int = 1, lengths=None,
             out, w2, outer = {}, w[q:q + N], w[:q] + w[q + N:]
             for b in range(l + 1):
                 for y, cy in core_of[b, w2].items():
-                    m = fmul(field.from_int(comb(l, b)), cy)
+                    m = fmul(field.reduce(comb(l, b)), cy)
                     out.update((x[:q] + y + x[q:], fmul(m, cx))
                                for x, cx in core_of[l - b, outer].items())
             split[l, w, q] = ({t: c for t, c in out.items() if c} == core
@@ -473,8 +459,8 @@ def verify_inclusions(params: ConstructionParams, k: int = 1, lengths=None,
             coll_q = SpanQuery("collisions", L, d, level=k)
             ideal_q = SpanQuery("ideal_level", L, d, level=k)
             # the ideal family is refused over budget before the words one
-            ideal = list(span_blocks(params, ideal_q, budgets, cache))
-            words = list(span_blocks(params, words_q, budgets, cache))
+            ideal = list(oracle.blocks(ideal_q))
+            words = list(oracle.blocks(words_q))
             # every (l, deg w) with l + deg w <= d has a words block
             core_of.update(((key[2], w), c) for key, cores, _, _ in words
                            for w, c in cores)
@@ -509,16 +495,22 @@ def verify_inclusions(params: ConstructionParams, k: int = 1, lengths=None,
 # -- products of non-members -----------------------------------------------------
 
 
+def _nonzero(field, rng: random.Random, choices: tuple):
+    """A scalar drawn from the int choices, redrawn while it is zero in the
+    field (2 over GF(2), 3 over GF(3)); a choice of 1 or -1 ends the loop."""
+    while True:
+        c = field.reduce(rng.choice(choices))
+        if c:
+            return c
+
+
 def _random_homogeneous(params: ConstructionParams, rng: random.Random,
                         length: int, degree: int) -> FreePoly:
     field = params.field
     words = list(words_iter(length, degree))
     picks = rng.sample(words, min(len(words), rng.randint(1, 3)))
-    items = []
-    for w in picks:
-        c = rng.choice((-3, -2, -1, 1, 2, 3))
-        items.append((w, field.from_int(c)))
-    return FreePoly.from_terms(field, items)
+    return FreePoly.from_terms(field, [
+        (w, _nonzero(field, rng, (-3, -2, -1, 1, 2, 3))) for w in picks])
 
 
 def verify_products(params: ConstructionParams, k: int = 1, trials: int = 20,
@@ -681,15 +673,10 @@ def locate_escape(params: ConstructionParams, k: int = 1, h: int = 1,
 
 
 def _random_zero_degree_poly(field, rng: random.Random) -> FreePoly:
-    """Random polynomial in the zeroth generator alone, without unit term;
-    a coefficient zero in the field (an even one over GF(2)) is redrawn."""
-    items = []
-    for L in rng.sample(range(1, 4), rng.randint(1, 2)):
-        c = field.zero
-        while not c:
-            c = field.from_int(rng.choice((-2, -1, 1, 2)))
-        items.append(((0,) * L, c))
-    return FreePoly.from_terms(field, items)
+    """Random polynomial in the zeroth generator alone, without unit term."""
+    return FreePoly.from_terms(field, [
+        ((0,) * L, _nonzero(field, rng, (-2, -1, 1, 2)))
+        for L in rng.sample(range(1, 4), rng.randint(1, 2))])
 
 
 def verify_counterexample(params: ConstructionParams, h_max: int = 2,
@@ -819,7 +806,7 @@ def verify_phi(params: ConstructionParams, kill_samples: int = 100,
         if len(batch) == 5:
             combo = FreePoly.zero(field)
             for zz in batch:
-                combo = combo + zz.scale(field.from_int(rng.choice((1, 2, -1, 3))))
+                combo = combo + zz.scale(_nonzero(field, rng, (1, 2, -1, 3)))
             if not signed_reorder(params, k, combo).is_zero():
                 bad += 1
                 rep.add("reorder kills combinations of collision elements",
@@ -925,7 +912,7 @@ def _random_strict_upper(field, n: int, rng: random.Random):
         row = []
         for c in range(n):
             if c > r:
-                row.append(field.from_int(rng.choice((-2, -1, 0, 1, 1, 2))))
+                row.append(field.reduce(rng.choice((-2, -1, 0, 1, 1, 2))))
             else:
                 row.append(field.zero)
         rows.append(tuple(row))
@@ -991,7 +978,7 @@ def verify_series(field=None, dimension: int = 3, trials: int = 25,
         alphas = rng.sample(range(1, max_alpha + 1), hi - lo + 1)
         samples = []
         for av in alphas:
-            alpha = field.from_int(av)
+            alpha = field.reduce(av)
             acc = zero_matrix(field, n)
             power = field.one
             for _ in range(lo):

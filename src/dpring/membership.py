@@ -82,7 +82,7 @@ class MembershipCertificate:
                     return False
             acc: dict = {}
             for idx, coeff in self.combination:
-                add_into(field, acc, found[idx], coeff)
+                add_scaled(field, acc, found[idx], coeff)
             return len(acc) == len(query) and all(
                 acc.get(w) == v for w, v in query.items())
         if self.kind == "non_member":
@@ -103,7 +103,7 @@ class MembershipCertificate:
         raise ValueError(f"unknown certificate kind {self.kind!r}")
 
 
-def add_into(field, target: dict, src: dict, c):
+def add_scaled(field, target: dict, src: dict, c):
     """target += c * src in place, dropping cancelled entries."""
     fadd, fmul = field.add, field.mul
     for w, v in src.items():
@@ -253,7 +253,7 @@ class Echelon:
             for q, c in used.items():
                 scale = field.neg(field.mul(inv, c))
                 if scale:
-                    add_into(field, flat, cache[q], scale)
+                    add_scaled(field, flat, cache[q], scale)
             cache[p] = flat
             stack.pop()
         return cache[pivot]
@@ -274,7 +274,7 @@ class Echelon:
         if not residue:
             combo: dict[int, object] = {}
             for p, c in used.items():
-                add_into(field, combo, self._flat(p), c)
+                add_scaled(field, combo, self._flat(p), c)
             return MembershipCertificate("member", combination=sorted(combo.items()))
         fadd, fmul = field.add, field.mul
         marked = min(residue, key=word_key)

@@ -108,7 +108,7 @@ class OrePoly:
         ring = self.ring
         derive, scaled, is_zero = ring, ring.scaled, ring.is_zero
         add_into = ring.add_into
-        from_int = ring.field.from_int
+        reduce = ring.field.reduce
         top = max(self.coeffs, default=0)
         chains = []
         for j, b in other.coeffs.items():
@@ -123,7 +123,7 @@ class OrePoly:
         for i, a in self.coeffs.items():
             for j, chain in chains:
                 for t, dtb in enumerate(chain[:i + 1]):
-                    w = from_int(comb(i, t))
+                    w = reduce(comb(i, t))
                     if not w:
                         continue
                     p = scaled(a, dtb, w)
@@ -201,7 +201,7 @@ def window_terms(field, m: int, floor: int):
     if m < 0:
         raise ValueError("exponent must be >= 0")
     budget = m - max(floor, 0)
-    from_int = field.from_int
+    reduce = field.reduce
     # (word up to its last nonzero letter, its degree, its integer weight
     # and that weight in the field)
     stack = [((), 0, 1, field.one)]
@@ -217,7 +217,7 @@ def window_terms(field, m: int, floor: int):
             lead = head + (0,) * (s - 1 - q)
             for k in range(1, min(j, room) + 1):
                 nk = n * comb(j, k)
-                wk = from_int(nk)
+                wk = reduce(nk)
                 if wk:
                     stack.append((lead + (k,), deg + k, nk, wk))
 
@@ -266,7 +266,7 @@ class PowerCoefficient:
         return self.m, self.m - self.t
 
     def weigh(self, letters):
-        return self.field.from_int(word_weight(letters))
+        return self.field.reduce(word_weight(letters))
 
     def get(self, word: tuple, default=None):
         if len(word) != self.m or sum(word) != self.m - self.t:

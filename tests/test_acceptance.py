@@ -61,7 +61,7 @@ def random_poly(rng, field=Q):
     items = []
     for _ in range(rng.randint(1, 4)):
         word = tuple(rng.randint(0, 3) for _ in range(rng.randint(0, 4)))
-        items.append((word, field.from_int(rng.choice([-3, -2, -1, 1, 2, 3]))))
+        items.append((word, field.reduce(rng.choice([-3, -2, -1, 1, 2, 3]))))
     return FreePoly.from_terms(field, items)
 
 

@@ -81,7 +81,7 @@ def random_member(rng, field, picks):
     acc = FreePoly.zero(field)
     for row in picks:
         acc = acc + FreePoly(field, dict(row)).scale(
-            field.from_int(rng.randint(1, 6)))
+            field.reduce(rng.randint(1, 6)))
     return acc
 
 

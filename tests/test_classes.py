@@ -1,6 +1,7 @@
 """The escape descent from class coefficients: the coefficient oracle, the
 repeat-free class walk of the `collisions` span, its "classes" certificate,
 and functionals checked against coefficients that are never materialised."""
+import itertools
 import sys
 import time
 
@@ -16,7 +17,7 @@ from dpring.construction import (
     count_words,
     words_iter,
 )
-from dpring.construction import _class_count
+from dpring.construction import _class_count, _sprinkle
 from dpring.fields import PrimeField, RationalField
 from dpring.freealg import FreePoly
 from dpring.membership import MembershipCertificate
@@ -32,6 +33,21 @@ def dense(length, letters):
     for p, x in letters:
         w[p] = x
     return tuple(w)
+
+
+@given(places=st.lists(st.integers(0, 30), unique=True, max_size=5).map(sorted),
+       e=st.integers(0, 5))
+def test_sprinkle_is_every_placing_of_the_letters(places, e):
+    # brute force: every tuple of letters on the places summing to e, kept
+    # by its nonzero letters
+    want = {tuple((p, x) for p, x in zip(places, xs) if x)
+            for xs in itertools.product(range(e + 1), repeat=len(places))
+            if sum(xs) == e}
+    got = list(_sprinkle(places, e))
+    assert len(got) == len(set(got)) and set(got) == want
+    for item in got:
+        assert [p for p, _ in item] == sorted({p for p, _ in item})
+        assert all(x > 0 for _, x in item)
 
 
 def descent(params, k, h):

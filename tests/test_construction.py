@@ -461,7 +461,7 @@ def random_query_vector(rng, field, words, rows):
         picks = [{w: field.one} for w in rng.sample(words, min(3, len(words)))]
     acc = FreePoly.zero(field)
     for vec in picks:
-        acc = acc + FreePoly(field, dict(vec)).scale(field.from_int(rng.randint(1, 4)))
+        acc = acc + FreePoly(field, dict(vec)).scale(field.reduce(rng.randint(1, 4)))
     return acc
 
 
@@ -663,7 +663,7 @@ def test_level_two_escape_needs_no_collisions_echelon():
     q = SpanQuery("collisions", 80, 3, level=2)
     cert = oracle.member(a, q)
     assert cert.kind == "non_member"
-    sixty_third = Q.inv(Q.from_int(63))
+    sixty_third = Q.inv(Q.reduce(63))
     assert sorted(cert.functional.values()) == [Q.neg(sixty_third)] * 3 + [
         sixty_third] * 3
     assert oracle.verify(a, q, cert)

@@ -52,7 +52,7 @@ def test_prime_field_basics():
     assert F5.sub(1, 3) == 3
     assert F5.mul(3, 4) == 2
     assert F5.neg(2) == 3
-    assert F5.from_int(-1) == 4
+    assert F5.reduce(-1) == 4
     assert F5.characteristic == 5
     for a in range(1, 5):
         assert F5.mul(a, F5.inv(a)) == 1
@@ -120,6 +120,16 @@ def test_prime_field_axioms(a, b, c):
     if a % 7:
         assert f.mul(a, f.inv(a)) == f.one
     assert 0 <= f.mul(a, b) < 7
+
+
+@given(st.integers(-10**20, 10**20))
+def test_reduce_maps_an_int_into_the_field(n):
+    # the one map of exact values into a field: an int is itself over Q,
+    # an int, and its residue over GF(p)
+    r = Q.reduce(n)
+    assert r == n and type(r) is int
+    for p in (2, 3, 5, 2**31 - 1):
+        assert PrimeField(p).reduce(n) == n % p
 
 
 rationals = st.one_of(

@@ -231,7 +231,7 @@ def scalars(field):
     if field.characteristic == 0:
         return st.fractions(-4, 4, max_denominator=5).filter(bool).map(
             field.coerce)
-    return st.integers(-10**12, 10**12).map(field.from_int).filter(bool)
+    return st.integers(-10**12, 10**12).map(field.reduce).filter(bool)
 
 
 def polys(field):

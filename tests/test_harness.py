@@ -288,6 +288,18 @@ def test_verify_products():
     assert rep.verdict == "pass"
 
 
+@pytest.mark.parametrize("prime", [2, 3])
+def test_verify_products_over_a_small_field(prime):
+    # a drawn coefficient that vanishes in the field (2 in GF(2), 3 in
+    # GF(3)) is redrawn, so no factor is zero and no trial runs out of
+    # draws
+    params = ConstructionParams(10, 3, 1, PrimeField(prime))
+    rep = verify_products(params, k=1, h_values=(1,), seed=0)
+    assert rep.verdict == "pass"
+    assert [c.detail for c in rep.checks] == [
+        {"trials": 20, "skipped_member_factors": {2: 58, 3: 50}[prime]}]
+
+
 def test_locate_escape_small():
     rep = locate_escape(P10, k=1, h=1)
     assert rep.verdict == "pass"

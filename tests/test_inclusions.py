@@ -5,15 +5,17 @@ every row of every ideal and word family is reduced on its own.  It lives
 here only, as the reference the per-core campaign must reproduce byte for
 byte, also when the collisions quotient is broken on purpose.
 """
+import collections
+
 import pytest
 
+from dpring import construction
 from dpring.budgets import BudgetExceeded, Budgets, DEFAULT_BUDGETS
 from dpring.construction import (
     ConstructionParams,
     SpanOracle,
     SpanQuery,
     _CollisionWindows,
-    span_blocks,
     span_rows,
 )
 from dpring import harness
@@ -148,16 +150,36 @@ def test_an_ideal_core_whose_leibniz_check_fails_is_reduced_row_by_row(
     assert got == per_row_inclusions(P10, k=1, **knobs).to_json()
 
 
-def test_span_blocks_count_the_rows_that_span_rows_build():
+def test_oracle_blocks_count_the_rows_that_span_rows_build():
+    oracle = SpanOracle(P10)
     for space in ("words", "ideal_level"):
         q = SpanQuery(space, 30, 2, level=1)
-        blocks = list(span_blocks(P10, q))
+        blocks = list(oracle.blocks(q))
         assert sum(count for *_, count in blocks) == sum(
             1 for _ in span_rows(P10, q))
         assert [row for _, _, rows, _ in blocks for row in rows()] == list(
             span_rows(P10, q))
     with pytest.raises(ValueError, match="collisions"):
-        next(span_blocks(P10, SpanQuery("collisions", 30, 2, level=1)))
+        next(oracle.blocks(SpanQuery("collisions", 30, 2, level=1)))
+
+
+def test_each_core_is_built_once_per_call(monkeypatch):
+    # the campaign reads its cores from the oracle's blocks, so the cores
+    # the oracle's windows and echelons use are the same ones, not a second
+    # copy in a cache of the campaign's own
+    built = collections.Counter()
+    cores = construction._cores
+
+    def counting(params, space, k, budgets, cache, l, dc):
+        before = set(cache)
+        got = cores(params, space, k, budgets, cache, l, dc)
+        built.update(set(cache) - before)
+        return got
+
+    monkeypatch.setattr(construction, "_cores", counting)
+    assert verify_inclusions(P10, k=1, lengths=(20,), degree_cap=2).verdict \
+        == "pass"
+    assert built and set(built.values()) == {1}
 
 
 def test_a_family_never_enumerated_is_still_refused_over_max_basis_size():

@@ -8,7 +8,7 @@ from dpring.budgets import BudgetExceeded, Budgets
 from dpring.construction import ConstructionParams, SpanOracle, SpanQuery
 from dpring.fields import PrimeField, RationalField
 from dpring.freealg import FreePoly
-from dpring.membership import Echelon, MembershipCertificate, add_into
+from dpring.membership import Echelon, MembershipCertificate, add_scaled
 
 Q = RationalField()
 
@@ -28,7 +28,7 @@ def random_vectors(rng, field, count, dim=6):
         v = {}
         for j in range(dim):
             if rng.random() < 0.5:
-                c = field.from_int(rng.choice([-3, -2, -1, 1, 2, 3]))
+                c = field.reduce(rng.choice([-3, -2, -1, 1, 2, 3]))
                 if c:
                     v[(j,)] = c
         vs.append(v)
@@ -43,14 +43,14 @@ def value(field, functional, v):
     return acc
 
 
-# -- add_into -----------------------------------------------------------------
+# -- add_scaled ---------------------------------------------------------------
 
 
-def test_add_into_accumulates_and_cancels():
+def test_add_scaled_accumulates_and_cancels():
     target = vec(((0,), 2))
-    add_into(Q, target, vec(((0,), -2), ((1,), 5)), 1)
+    add_scaled(Q, target, vec(((0,), -2), ((1,), 5)), 1)
     assert target == vec(((1,), 5))
-    add_into(Q, target, vec(((1,), 1)), -5)
+    add_scaled(Q, target, vec(((1,), 1)), -5)
     assert target == {}
 
 
@@ -174,8 +174,8 @@ def exercise_member_certificates(field, seed):
         # random combination of the basis rows: always a member
         target = {}
         for idx in rng.sample(range(len(vectors)), 3):
-            add_into(field, target, vectors[idx],
-                     field.from_int(rng.randint(-4, 4)))
+            add_scaled(field, target, vectors[idx],
+                     field.reduce(rng.randint(-4, 4)))
         cert = ech.certificate(target)
         assert cert.kind == "member" and cert.functional is None
         assert cert.verify(field, target, vectors)
@@ -340,10 +340,10 @@ def test_reduce_is_linear_and_idempotent():
         ru, _ = ech.reduce(u)
         rw, _ = ech.reduce(w)
         s = dict(u)
-        add_into(Q, s, w, 1)
+        add_scaled(Q, s, w, 1)
         rs, _ = ech.reduce(s)
         expect = dict(ru)
-        add_into(Q, expect, rw, 1)
+        add_scaled(Q, expect, rw, 1)
         assert rs == expect
         again, _ = ech.reduce(ru)
         assert again == ru

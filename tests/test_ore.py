@@ -53,7 +53,7 @@ def random_poly(rng, field=Q):
     items = []
     for _ in range(rng.randint(1, 4)):
         word = tuple(rng.randint(0, 3) for _ in range(rng.randint(0, 4)))
-        items.append((word, field.from_int(rng.choice([-3, -2, -1, 1, 2, 3]))))
+        items.append((word, field.reduce(rng.choice([-3, -2, -1, 1, 2, 3]))))
     return FreePoly.from_terms(field, items)
 
 
@@ -325,7 +325,7 @@ def reference_product(p: OrePoly, q: OrePoly) -> OrePoly:
     """p q with each b_j derived afresh for every a_i, as the closed form
     reads: sum over (i, j, t) of a_i C(i, t) D^t(b_j) X^(i-t+j)."""
     ring = p.ring
-    from_int = ring.field.from_int
+    reduce = ring.field.reduce
     out: dict = {}
     for i, a in p.coeffs.items():
         for j, b in q.coeffs.items():
@@ -335,7 +335,7 @@ def reference_product(p: OrePoly, q: OrePoly) -> OrePoly:
                     dtb = derive(dtb)
                 if dtb.is_zero():
                     break
-                w = from_int(comb(i, t))
+                w = reduce(comb(i, t))
                 if not w:
                     continue
                 e = i - t + j
@@ -354,7 +354,7 @@ def _scalars(field):
     if field.characteristic == 0:
         return st.fractions(-4, 4, max_denominator=5).filter(bool).map(
             field.coerce)
-    return st.integers(-10**12, 10**12).map(field.from_int).filter(bool)
+    return st.integers(-10**12, 10**12).map(field.reduce).filter(bool)
 
 
 def _free(field):
