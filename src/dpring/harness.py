@@ -907,16 +907,18 @@ def verify_phi(params: ConstructionParams, kill_samples: int = 100,
 
 
 def _random_strict_upper(field, n: int, rng: random.Random):
-    rows = []
-    for r in range(n):
-        row = []
-        for c in range(n):
-            if c > r:
-                row.append(field.reduce(rng.choice((-2, -1, 0, 1, 1, 2))))
-            else:
-                row.append(field.zero)
-        rows.append(tuple(row))
-    return tuple(rows)
+    return tuple(
+        tuple(field.reduce(rng.choice((-2, -1, 0, 1, 1, 2))) if c > r
+              else field.zero for c in range(n))
+        for r in range(n))
+
+
+def _nonzero_strict_upper(field, n: int, rng: random.Random):
+    """`_random_strict_upper`, redrawn while zero: no series trial is vacuous."""
+    while True:
+        a = _random_strict_upper(field, n, rng)
+        if not mat_is_zero(a):
+            return a
 
 
 def verify_series(field=None, dimension: int = 3, trials: int = 25,
@@ -938,10 +940,8 @@ def verify_series(field=None, dimension: int = 3, trials: int = 25,
     bad = 0
     refused = 0
     for t in range(trials):
-        u = _random_strict_upper(field, n, rng)
-        c = _random_strict_upper(field, n, rng)
-        if mat_is_zero(u) or mat_is_zero(c):
-            continue
+        u = _nonzero_strict_upper(field, n, rng)
+        c = _nonzero_strict_upper(field, n, rng)
         D = InnerDerivation(field, u)
         s = s_index(c, D)
         q = nil_index(field, c)
@@ -978,15 +978,11 @@ def verify_series(field=None, dimension: int = 3, trials: int = 25,
         alphas = rng.sample(range(1, max_alpha + 1), hi - lo + 1)
         samples = []
         for av in alphas:
-            alpha = field.reduce(av)
             acc = zero_matrix(field, n)
-            power = field.one
-            for _ in range(lo):
-                power = field.mul(power, alpha)
-            for g in parts:
-                acc = mat_add(field, acc, mat_scale(field, g, power))
-                power = field.mul(power, alpha)
-            samples.append((alpha, acc))
+            for d, g in enumerate(parts, lo):
+                acc = mat_add(field, acc,
+                              mat_scale(field, g, field.reduce(av ** d)))
+            samples.append((field.reduce(av), acc))
         if vandermonde_extract(field, samples, lo, hi) != parts:
             bad += 1
             rep.add("sampled evaluations recover components", f"trial {t}",

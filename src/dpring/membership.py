@@ -12,7 +12,8 @@ row is one.  Only words of the query are split off; one that a longer row
 brings in goes through the heap like any other.  Inserting a single-term
 vector skips reduction altogether unless its word is the pivot of a longer
 row: a monomial row already spans it, and a free word becomes a monomial
-pivot itself.
+pivot itself.  Rows may be keyed by sample index, as one-letter words:
+`series.vandermonde_extract` solves its Vandermonde systems that way.
 
 Combination tracking is lazy: each pivot row remembers only which earlier
 pivots its reduction used, and combinations over the original insertion

@@ -9,13 +9,15 @@ strictly upper-triangular element, which is locally nilpotent there.
 ring of `ore.OrePoly` here.  Over such a ring the geometric series of c X^p
 truncates to a polynomial, so the inverse of 1 - c X^p exists inside the
 differential polynomial ring itself and every identity can be checked
-exactly.
+exactly.  Graded components are recovered from sampled evaluations by
+`membership.Echelon` member certificates, with no solver of their own.
 """
 
 from __future__ import annotations
 
 from operator import mul
 
+from .membership import Echelon
 from .ore import OrePoly
 
 __all__ = [
@@ -202,56 +204,33 @@ def coefficient_identity(c, p: int, n: int, D: InnerDerivation) -> bool:
 
 def vandermonde_extract(field, samples, lo: int, hi: int) -> list:
     """Recover matrix components g_lo..g_hi from samples (alpha, value) with
-    value = sum of alpha^d * g_d, by exact elimination.
+    value = sum of alpha^d * g_d.  One `membership.Echelon` holds the power
+    rows {(i,): alpha_i^d}, sample i's index a one-letter word, and each
+    entry (r, c) of the components is the member combination equal to the
+    samples' (r, c) entries.
 
-    Needs hi - lo + 1 samples with pairwise distinct nonzero alphas; extra
-    samples are ignored (the first ones are used).
+    Needs hi - lo + 1 samples with alphas pairwise distinct and nonzero in
+    the field; extra samples are ignored (the first ones are used).
     """
     m = hi - lo + 1
     if m <= 0:
         raise ValueError("empty degree range")
+    if lo < 0:
+        raise ValueError(f"degrees start at 0, got lo = {lo}")
     if len(samples) < m:
         raise ValueError(f"need at least {m} samples, got {len(samples)}")
     use = list(samples[:m])
-    alphas = [a for a, _ in use]
+    alphas = [field.reduce(a) for a, _ in use]
     if len(set(alphas)) != len(alphas):
         raise ValueError("repeated alpha samples make the system singular")
     if any(not a for a in alphas):
         raise ValueError("alpha = 0 contributes no information; use nonzero samples")
-    # rows: sum_d alpha^d g_d = value, d = lo..hi
-    rows = []
-    for alpha, value in use:
-        coeffs = []
-        power = field.one
-        for _ in range(lo):
-            power = field.mul(power, alpha)
-        for _ in range(m):
-            coeffs.append(power)
-            power = field.mul(power, alpha)
-        rows.append((coeffs, value))
-    # forward elimination then back substitution, exact
-    for col in range(m):
-        pivot = next(i for i in range(col, m) if rows[i][0][col])
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        pc, pv = rows[col]
-        inv = field.inv(pc[col])
-        pc = [field.mul(inv, x) for x in pc]
-        pv = mat_scale(field, pv, inv)
-        rows[col] = (pc, pv)
-        for i in range(col + 1, m):
-            ic, iv = rows[i]
-            f = ic[col]
-            if not f:
-                continue
-            ic = [field.sub(x, field.mul(f, y)) for x, y in zip(ic, pc)]
-            iv = mat_sub(field, iv, mat_scale(field, pv, f))
-            rows[i] = (ic, iv)
-    out: list = [None] * m
-    for col in range(m - 1, -1, -1):
-        pc, pv = rows[col]
-        acc = pv
-        for j in range(col + 1, m):
-            if pc[j]:
-                acc = mat_sub(field, acc, mat_scale(field, out[j], pc[j]))
-        out[col] = acc
-    return out
+    powers = Echelon(field)
+    powers.extend({(i,): field.reduce(a ** d) for i, a in enumerate(alphas)}
+                  for d in range(lo, hi + 1))
+    entries = [[dict(powers.certificate(
+                    {(i,): value[r][c] for i, (_, value) in enumerate(use)}
+                ).combination) for c in range(len(row))]
+               for r, row in enumerate(use[0][1])]
+    return [tuple(tuple(cell.get(j, field.zero) for cell in row)
+                  for row in entries) for j in range(m)]

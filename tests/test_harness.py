@@ -489,6 +489,23 @@ def test_verify_series_gf():
     assert verify_series(PrimeField(3), dimension=4, trials=8, seed=0).verdict == "pass"
 
 
+def test_verify_series_redraws_a_zero_matrix(monkeypatch):
+    # at dimension 2 and seed 4 the one trial first draws a zero matrix; it
+    # is redrawn, not skipped, so the claim rests on inverses computed: at
+    # p = 2 and 3 above s_index(c) = 1, and the one refused at p = 1
+    calls = []
+    real = harness.invert_one_minus
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(harness, "invert_one_minus", counted)
+    rep = verify_series(Q, dimension=2, trials=1, seed=4)
+    assert rep.verdict == "pass"
+    assert [p for _, p, _ in calls] == [2, 3, 1]
+
+
 # -- dispatch -------------------------------------------------------------------------
 
 

@@ -2,7 +2,8 @@
 a module boundary, no private module-level name goes unread in its module,
 no function binds a local it never reads, one function reads the family
 budget, one builds the span cores, one inserts rows into an echelon, only
-SpanOracle asks for a family echelon, and the README's examples run."""
+SpanOracle asks for a family echelon, only the echelon and the windowed
+non-member invert a scalar, and the README's examples run."""
 import ast
 import collections
 import contextlib
@@ -195,6 +196,24 @@ def test_only_the_oracle_builds_a_family_echelon():
              and node.func.attr == "echelon"}
     assert found == {("construction.py", "member"),
                      ("construction.py", "normal_form")}
+
+
+def test_only_the_echelon_and_the_windowed_non_member_invert_a_scalar():
+    # `membership.Echelon` is the one exact solver: it normalizes its pivots
+    # in `insert` and marks a non-member's residue in `certificate`, and
+    # `_Windows.non_member` marks the windowed residue the same way.  A
+    # second `.inv(` would be a second solver beside it
+    found = {(name, getattr(scope, "name", type(scope).__name__))
+             for name, tree in parsed()
+             for scope in ast.walk(tree)
+             if isinstance(scope, (ast.Module, *SCOPES))
+             for node in _own_nodes(scope)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "inv"}
+    assert found == {("membership.py", "insert"),
+                     ("membership.py", "certificate"),
+                     ("construction.py", "non_member")}
 
 
 def _fenced(heading: str, lang: str) -> str:

@@ -334,6 +334,54 @@ def test_vandermonde_zero_samples_give_zero_components():
     assert all(mat_is_zero(gi) for gi in out)
 
 
+def forward(field, parts, alpha, lo):
+    """sum of alpha^d * parts[d - lo], powers by repeated field.mul"""
+    acc = zero_matrix(field, len(parts[0]))
+    power = field.one
+    for _ in range(lo):
+        power = field.mul(power, alpha)
+    for g in parts:
+        acc = mat_add(field, acc, mat_scale(field, g, power))
+        power = field.mul(power, alpha)
+    return acc
+
+
+VANDERMONDE_FIELDS = (Q, PrimeField(3), PrimeField(5), PrimeField(7))
+
+
+@st.composite
+def vandermonde_systems(draw):
+    """(field, parts, lo, samples): m = len(parts) <= 4 components, at most
+    p - 1 over GF(p), sampled at distinct nonzero alphas (Fractions over Q),
+    then up to two extra samples, repeated or zero alphas and arbitrary
+    values allowed."""
+    field = draw(st.sampled_from(VANDERMONDE_FIELDS))
+    p = field.characteristic
+    m = draw(st.integers(1, min(4, p - 1) if p else 4))
+    lo = draw(st.integers(0, 3))
+    n = draw(st.integers(1, 3))
+    parts = draw(st.lists(matrices(field, n, n), min_size=m, max_size=m))
+    alphas = draw(st.lists(scalars(field).filter(bool), min_size=m,
+                           max_size=m, unique=True))
+    samples = [(a, forward(field, parts, a, lo)) for a in alphas]
+    samples += draw(st.lists(st.tuples(scalars(field), matrices(field, n, n)),
+                             max_size=2))
+    return field, parts, lo, samples
+
+
+@given(vandermonde_systems())
+@settings(max_examples=80)
+def test_vandermonde_inverts_forward_evaluation(case):
+    field, parts, lo, samples = case
+    hi = lo + len(parts) - 1
+    # the extra samples, past the first len(parts), are ignored
+    assert vandermonde_extract(field, samples, lo, hi) == parts
+    # zero evaluations give zero components
+    zero = zero_matrix(field, len(parts[0]))
+    zeroed = [(a, zero) for a, _ in samples]
+    assert vandermonde_extract(field, zeroed, lo, hi) == [zero] * len(parts)
+
+
 def test_vandermonde_refusals():
     z = zero_matrix(Q, 3)
     with pytest.raises(ValueError, match="empty degree range"):
@@ -344,6 +392,23 @@ def test_vandermonde_refusals():
         vandermonde_extract(Q, [(1, z), (1, z)], 0, 1)
     with pytest.raises(ValueError, match="alpha = 0"):
         vandermonde_extract(Q, [(0, z), (1, z)], 0, 1)
+
+
+def test_vandermonde_reads_alphas_in_the_field():
+    # 8 is 1 and 7 is 0 in GF(7): refused, not solved as a singular system
+    field = PrimeField(7)
+    z = zero_matrix(field, 2)
+    with pytest.raises(ValueError, match="repeated alpha"):
+        vandermonde_extract(field, [(1, z), (8, z)], 0, 1)
+    with pytest.raises(ValueError, match="alpha = 0"):
+        vandermonde_extract(field, [(7, z), (1, z)], 0, 1)
+
+
+def test_vandermonde_refuses_negative_degrees():
+    # the power rows are alpha^d for degrees d >= 0 only
+    z = zero_matrix(Q, 2)
+    with pytest.raises(ValueError, match="degrees start at 0"):
+        vandermonde_extract(Q, [(2, z)], -1, -1)
 
 
 def test_vandermonde_gf_round_trip():
