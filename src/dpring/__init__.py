@@ -19,7 +19,6 @@ from .construction import (
     collision_test,
     count_words,
     signed_reorder,
-    signed_reorder_word,
     span_rows,
     words_iter,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "run_campaign",
     "s_index",
     "signed_reorder",
-    "signed_reorder_word",
     "span_rows",
     "vandermonde_extract",
     "word_key",

@@ -20,7 +20,8 @@ class Budgets:
 
     max_expand_m: largest exponent accepted by the full power expansion.
     max_component_dim: largest bi-graded component dimension a span query
-        may touch.
+        may touch; it also bounds the largest component of an `expand`
+        window and the word length m of an escape descent.
     max_basis_size: largest spanning-set size a span query may touch.  The
         family of every space is counted in closed form and refused before
         its first core is built, whether or not the query enumerates it;

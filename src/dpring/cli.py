@@ -23,6 +23,7 @@ from .construction import (
     ParamsError,
     SpanOracle,
     SpanQuery,
+    count_words,
 )
 from .fields import FieldError, make_field
 from .freealg import ShiftDerivation, poly_from_text, poly_to_text
@@ -193,6 +194,13 @@ def _params_doc(params: ConstructionParams) -> dict:
 def cmd_expand(args, cfg: RunConfig) -> int:
     field = cfg.params.field
     if args.window is not None:
+        # refused before the walk by the window's largest component
+        top = (args.m, args.m - max(args.window, 0))
+        dim, cap = count_words(*top), cfg.budgets.max_component_dim
+        if dim > cap:
+            raise BudgetExceeded(
+                f"window floor {args.window} reaches component {top} of "
+                f"{dim} words (budget {cap}); raise the floor")
         ore = OrePoly(ShiftDerivation(field),
                       expand_power_window(field, args.m, args.window))
     else:

@@ -115,7 +115,6 @@ __all__ = [
     "SPACES",
     "span_rows",
     "SpanOracle",
-    "signed_reorder_word",
     "signed_reorder",
 ]
 
@@ -1223,46 +1222,31 @@ class SpanOracle:
 # -- signed checkpoint reorder -------------------------------------------------
 
 
-def signed_reorder_word(params: ConstructionParams, k: int, word: tuple):
-    """The signed checkpoint-reorder image of one word of length N(k)-1.
-
-    Reads the letters at the slots (positions c_1..c_{k+1}); when they form a
-    permutation of the target letters x_{c_0}..x_{c_k}, the image is the word
-    with those letters rewritten in target order, signed by the permutation's
-    parity; otherwise the image is zero (returns None).
-    """
-    return _reorder_word(*_reorder_frame(params, k), word)
-
-
-def _reorder_frame(params: ConstructionParams, k: int):
-    """The level-k reorder's slots, target letters and word length, read
-    once per call of the reorder; a degenerate level is refused."""
-    return params.slots(k), params.checkpoints(k)[: k + 1], params.block(k) - 1
-
-
-def _reorder_word(slots, targets, length: int, word: tuple):
-    if len(word) != length:
-        raise ValueError(f"wrong length: expected {length}, got {len(word)}")
-    letters = [word[i] for i in slots]
-    if sorted(letters) != targets:
-        return None
-    sign = _sort_sign(letters)  # the targets ascend
-    out = list(word)
-    for i, t in zip(slots, targets):
-        out[i] = t
-    return sign, tuple(out)
-
-
 def signed_reorder(params: ConstructionParams, k: int, a: FreePoly) -> FreePoly:
-    """Linear extension of signed_reorder_word, with the level's slots and
-    targets read once for all of a's words."""
+    """The signed checkpoint reorder at level k, a linear map on polynomials
+    in words of length N(k)-1.
+
+    Each word's letters at the slots (positions c_1..c_{k+1}) are read; when
+    they form a permutation of the target letters x_{c_0}..x_{c_k}, the word
+    maps to itself with those letters rewritten in target order, signed by
+    the permutation's parity, and otherwise to zero.  The level's slots,
+    targets and word length are read once per call; a degenerate level is
+    refused and a word of the wrong length raises ValueError.
+    """
+    slots = params.slots(k)
+    targets = params.checkpoints(k)[: k + 1]
+    length = params.block(k) - 1
     field = a.field
-    frame = _reorder_frame(params, k)
     items = []
     for w, c in a.terms.items():
-        img = _reorder_word(*frame, w)
-        if img is None:
+        if len(w) != length:
+            raise ValueError(f"wrong length: expected {length}, got {len(w)}")
+        letters = [w[i] for i in slots]
+        if sorted(letters) != targets:
             continue
-        sign, w2 = img
-        items.append((w2, c if sign > 0 else field.neg(c)))
+        out = list(w)
+        for i, t in zip(slots, targets):
+            out[i] = t
+        sign = _sort_sign(letters)  # the targets ascend
+        items.append((tuple(out), c if sign > 0 else field.neg(c)))
     return FreePoly.from_terms(field, items)

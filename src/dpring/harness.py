@@ -31,7 +31,6 @@ from .construction import (
     SpanQuery,
     collision_test,
     signed_reorder,
-    signed_reorder_word,
     words_iter,
 )
 from .fields import RationalField
@@ -624,8 +623,12 @@ def _descend(params: ConstructionParams, k: int, h: int, oracle: SpanOracle):
     params.slots(k)
     field = params.field
     m = h * params.block(k) - 1
+    cap = oracle.budgets.max_component_dim
+    if m > cap:  # a_m alone is one word of m letters
+        raise BudgetExceeded(f"the level-{k} escape at h = {h} has words of "
+                             f"m = {m} letters (budget {cap})")
     floor = (k + 2) * (m + 1) // (2 * (k + 1)) + 1
-    top = m - 1 if m * m <= oracle.budgets.max_component_dim else m
+    top = m - 1 if m * m <= cap else m
     certs, verified = {}, []
 
     def certify(i: int):
@@ -818,6 +821,8 @@ def verify_phi(params: ConstructionParams, kill_samples: int = 100,
 
     # fix and sign: sorted checkpoint letters are fixed, transposed letters
     # flip the sign and land on the same sorted image, foreign letters die
+    def image(word):  # the reorder of one word, as a monomial
+        return signed_reorder(params, k, FreePoly.monomial(field, word))
     bad = 0
     for _ in range(fix_samples):
         word = [0] * length
@@ -826,22 +831,21 @@ def verify_phi(params: ConstructionParams, kill_samples: int = 100,
         for i, t in zip(slots, targets):
             word[i] = t
         sorted_word = tuple(word)
-        img = signed_reorder_word(params, k, sorted_word)
-        if img != (1, sorted_word):
+        fixed = FreePoly.monomial(field, sorted_word)
+        if image(sorted_word) != fixed:
             bad += 1
             rep.add("reorder fixes checkpoint-sorted words", "fix", False,
                     {"word": word_to_text(sorted_word)})
         a, b = (slots[i] for i in rng.sample(range(len(slots)), 2))
         swapped = list(sorted_word)
         swapped[a], swapped[b] = swapped[b], swapped[a]
-        img2 = signed_reorder_word(params, k, tuple(swapped))
-        if img2 != (-1, sorted_word):
+        if image(swapped) != -fixed:
             bad += 1
             rep.add("reorder signs a transposition by -1", "sign", False,
                     {"word": word_to_text(tuple(swapped))})
         foreign = list(sorted_word)
         foreign[slots[0]] = targets[-1] + 1
-        if signed_reorder_word(params, k, tuple(foreign)) is not None:
+        if not image(foreign).is_zero():
             bad += 1
             rep.add("reorder kills foreign checkpoint letters", "kill", False,
                     {"word": word_to_text(tuple(foreign))})

@@ -140,6 +140,17 @@ def test_budget_exceeded_is_4(capsys):
     assert json.loads(out)["schema"] == "dpring.error/1"
 
 
+def test_expand_window_over_max_component_dim_is_4(capsys):
+    # the window's largest component, (30, 30), is refused before a walk
+    # that would not finish
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["expand", "--m", "30", "--window", "0"])
+    assert code == 4 and time.perf_counter() - start < 5
+    doc = json.loads(out)
+    assert doc["schema"] == "dpring.error/1" and doc["status"] == 4
+    assert "component (30, 30)" in doc["error"]
+
+
 def test_inclusions_family_over_max_basis_size_is_4(capsys, tmp_path):
     # the (30, 3) ideal_level family has 3,146 rows: counted, never built,
     # and refused one row over the budget

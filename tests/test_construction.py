@@ -19,7 +19,6 @@ from dpring.construction import (
     collision_test,
     count_words,
     signed_reorder,
-    signed_reorder_word,
     span_rows,
     words_iter,
 )
@@ -755,19 +754,82 @@ def test_echelon_state_pinned(params, query, rank, digest):
 
 
 def test_signed_reorder_word_cases():
+    def image(params, k, word):
+        return signed_reorder(params, k, FreePoly.monomial(Q, word))
     # identity arrangement keeps sign +1 and the word unchanged
     w = (0, 0, 1, 0, 0, 0, 0, 0, 0)
-    assert signed_reorder_word(P10, 1, w) == (1, w)
+    assert image(P10, 1, w) == FreePoly.monomial(Q, w)
     # transposed letters flip the sign and are rewritten ascending
-    assert signed_reorder_word(P10, 1, (1, 0, 0, 0, 0, 0, 0, 0, 0)) == (-1, w)
+    assert (image(P10, 1, (1, 0, 0, 0, 0, 0, 0, 0, 0))
+            == FreePoly.monomial(Q, w, -1))
     # a foreign letter at a checkpoint position sends the word to zero
-    assert signed_reorder_word(P10, 1, (2, 0, 1, 0, 0, 0, 0, 0, 0)) is None
+    assert image(P10, 1, (2, 0, 1, 0, 0, 0, 0, 0, 0)).is_zero()
     with pytest.raises(ValueError):
-        signed_reorder_word(P10, 1, (0, 0, 0))
+        image(P10, 1, (0, 0, 0))
     with pytest.raises(ParamsError):
-        signed_reorder_word(P222, 1, (0,))  # degenerate level refuses
+        image(P222, 1, (0,))  # degenerate level refuses
     with pytest.raises(ParamsError):
         signed_reorder(P222, 1, FreePoly.zero(Q))  # even with no word to map
+
+
+def reorder_reference(params, k, a):
+    """The signed reorder computed independently: each word whose slot
+    letters are a permutation of the targets goes to its target-ordered
+    word, signed by (-1)^(n - cycles) of that permutation."""
+    slots, targets = params.slots(k), params.checkpoints(k)[: k + 1]
+    field, items = a.field, []
+    for w, c in a.terms.items():
+        letters = [w[i] for i in slots]
+        if set(letters) != set(targets) or len(set(letters)) != len(letters):
+            continue
+        perm = [targets.index(x) for x in letters]
+        seen, cycles = set(), 0
+        for start in range(len(perm)):
+            cycles += start not in seen
+            i = start
+            while i not in seen:
+                seen.add(i)
+                i = perm[i]
+        image = list(w)
+        for i, t in zip(slots, targets):
+            image[i] = t
+        odd = (len(perm) - cycles) % 2
+        items.append((tuple(image), field.neg(c) if odd else c))
+    return FreePoly.from_terms(field, items)
+
+
+REORDER_LEVELS = tuple((ConstructionParams(b, r, k_max, F), k)
+                       for F in (Q, PrimeField(3))
+                       for b, r, k_max, k in ((10, 3, 1, 1), (3, 2, 2, 2)))
+
+
+@st.composite
+def reorder_sums(draw):
+    """A sum of words over a few shared fillers, their slot letters either
+    a permutation of the targets or arbitrary small letters."""
+    params, k = draw(st.sampled_from(REORDER_LEVELS))
+    slots, targets = params.slots(k), params.checkpoints(k)[: k + 1]
+    length = params.block(k) - 1
+    fillers = draw(st.lists(st.lists(st.integers(0, 2), min_size=length,
+                                     max_size=length), min_size=1, max_size=2))
+    letters = st.one_of(
+        st.permutations(targets),
+        st.lists(st.integers(0, targets[-1] + 1), min_size=len(slots),
+                 max_size=len(slots)))
+    terms = []
+    for _ in range(draw(st.integers(1, 6))):
+        word = list(draw(st.sampled_from(fillers)))
+        for i, x in zip(slots, draw(letters)):
+            word[i] = x
+        terms.append((tuple(word), draw(st.integers(-3, 3))))
+    return params, k, FreePoly.from_terms(params.field, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=reorder_sums())
+def test_signed_reorder_matches_the_cycle_count_reference(case):
+    params, k, a = case
+    assert signed_reorder(params, k, a) == reorder_reference(params, k, a)
 
 
 def test_signed_reorder_kills_collision_elements():

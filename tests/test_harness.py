@@ -307,6 +307,19 @@ def test_locate_escape_small():
     assert found and found[0].detail["escape_index"] == 8
 
 
+def test_locate_escape_refuses_words_longer_than_max_component_dim():
+    # at (10,3,3) level 3, m = 10^9 - 1: a_m alone is one word of more
+    # letters than max_component_dim, so the descent is refused up front
+    from dpring.budgets import BudgetExceeded
+    with pytest.raises(BudgetExceeded, match="m = 999999999 letters"):
+        locate_escape(ConstructionParams(10, 3, 3, Q), k=3)
+    # the bound is m itself: P10's m = 9 runs at a budget of 9, not of 8
+    rep = locate_escape(P10, budgets=Budgets(max_component_dim=9))
+    assert rep.verdict == "pass"
+    with pytest.raises(BudgetExceeded, match="m = 9 letters"):
+        locate_escape(P10, budgets=Budgets(max_component_dim=8))
+
+
 def test_locate_escape_over_gf7_moves_down():
     # the (3,2,2) class coefficient 63 vanishes over GF(7), so a_77 is a
     # member there and the escape is a_76, at degree 4
