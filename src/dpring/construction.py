@@ -393,20 +393,20 @@ def _blocks(params, space, k, L):
 
 
 def _cores(params, space, k, budgets, cache, l, dc):
-    """Term dicts of the level-k cores of a space of derivative order l and
-    letter degree dc, memoized in the shared cache: collision elements in
-    `collisions`, whose rows carry no derivative, else D^l(w) for the words
-    w over x0..x_{k-1} of the core length in `words_iter` order, none zero:
-    l derivations on one letter give coefficient 1."""
+    """(word, term dict) of the level-k cores of a space of derivative order
+    l and letter degree dc, memoized in the shared cache: (z.words, z) for
+    the collision elements z in `collisions`, whose rows carry no derivative,
+    else (w, D^l(w)) for the words w over x0..x_{k-1} of the core length in
+    `words_iter` order, none zero: l derivations on one letter give 1."""
     core_len, _ = _blocks(params, space, k, 0)
     key = (k, core_len, dc, l)
     got = cache.get(key)
     if got is None:
         if space == "collisions":
-            got = [dict.fromkeys(z.words, params.field.one)
+            got = [(z.words, dict.fromkeys(z.words, params.field.one))
                    for z in collision_elements(params, k, dc, budgets)]
         else:
-            got = [derive_iter(FreePoly.monomial(params.field, w), l).terms
+            got = [(w, derive_iter(FreePoly.monomial(params.field, w), l).terms)
                    for w in words_iter(core_len, dc, max_letter=k - 1)]
         cache[key] = got
     return got
@@ -483,7 +483,7 @@ def _block_rows(cores, blocks):
     for (len_u, du, l, dc), (_, _, _, len_v, dv) in blocks.items():
         found = cores(l, dc)
         for u in words_iter(len_u, du):
-            for core in found:
+            for _, core in found:
                 for v in words_iter(len_v, dv):
                     yield {u + cw + v: c for cw, c in core.items()}
 
@@ -1098,12 +1098,10 @@ class SpanOracle:
             raise ValueError(f"no alphabet cores in {query.space!r}")
         params = self.params
         [(k, _, blocks)] = _layout(params, query, self.budgets, self._cache)
-        core_len, _ = _blocks(params, query.space, k, query.length)
         cores = partial(_cores, params, query.space, k, self.budgets,
                         self._cache)
         for key, (_, n_cores, n_v, _, _) in blocks.items():
-            words = words_iter(core_len, key[3], max_letter=k - 1)
-            yield (key, list(zip(words, cores(*key[2:]))),
+            yield (key, cores(*key[2:]),
                    partial(_block_rows, cores, {key: blocks[key]}),
                    count_words(*key[:2]) * n_cores * n_v)
 

@@ -347,7 +347,7 @@ def verify_z_closure(params: ConstructionParams, samples: int = 25, seed: int = 
     oracle = SpanOracle(params, budgets)
     for k in levels:
         length = params.block(k) - 1
-        failures = 0
+        fails = rep.counts()["fail"]
         max_witness = 0
         sample_summary = None
         for s in range(samples):
@@ -364,7 +364,6 @@ def verify_z_closure(params: ConstructionParams, samples: int = 25, seed: int = 
                 ok = (oracle.verify(z, self_q, self_cert)
                       and oracle.verify(dz, q, cert))
             if not ok:
-                failures += 1
                 rep.add("derivative of a collision element stays in the span",
                         f"level {k}, degree {d}", False,
                         {"kind": elem.kind,
@@ -374,7 +373,7 @@ def verify_z_closure(params: ConstructionParams, samples: int = 25, seed: int = 
                 max_witness = max(max_witness, len(cert.combination))
                 if sample_summary is None:
                     sample_summary = summarize_certificate(field, cert)
-        if not failures:
+        if rep.counts()["fail"] == fails:
             rep.add("derivative of a collision element stays in the span",
                     f"level {k}", True,
                     {"samples": samples, "max_witness": max_witness,
@@ -539,7 +538,6 @@ def verify_products(params: ConstructionParams, k: int = 1, trials: int = 20,
     oracle = SpanOracle(params, budgets)
     x0 = FreePoly.generator(field, 0)
     skips = 0
-    failures = 0
     done = 0
     for t in range(trials):
         h = h_values[t % len(h_values)]
@@ -561,7 +559,6 @@ def verify_products(params: ConstructionParams, k: int = 1, trials: int = 20,
         if give_up:
             rep.add("found a non-member factor", f"trial {t}", False,
                     {"skips": skips})
-            failures += 1
             continue
         product = factors[0][0]
         for r, _, _, _ in factors[1:]:
@@ -574,12 +571,11 @@ def verify_products(params: ConstructionParams, k: int = 1, trials: int = 20,
               and all(oracle.verify(r, q, c) for r, _, q, c in factors))
         done += 1
         if not ok:
-            failures += 1
             rep.add("x0-joined product of non-members is a non-member",
                     f"({pl}, {pd})", False,
                     {"h": h, "certificate": summarize_certificate(field, pcert)})
     rep.add("x0-joined product of non-members is a non-member",
-            f"level {k}", failures == 0,
+            f"level {k}", rep.verdict == "pass",
             {"trials": done, "skipped_member_factors": skips})
     return rep
 
@@ -775,7 +771,9 @@ def verify_phi(params: ConstructionParams, kill_samples: int = 100,
     family, fixes checkpoint-sorted words, signs transpositions, and carries
     embedded lower-level collision elements to embedded collision elements.
     The top level is the highest valid one; with none, the campaign raises
-    ParamsError.
+    ParamsError.  A section's passing summary is recorded only when the
+    section recorded no failure; a degenerate lower level, with no family to
+    carry, is recorded as `info`.
     """
     _at_least(1, kill_samples=kill_samples, fix_samples=fix_samples,
               preserve_trials=preserve_trials)
@@ -795,13 +793,12 @@ def verify_phi(params: ConstructionParams, kill_samples: int = 100,
     targets = params.checkpoints(k)[: k + 1]
 
     # kill: the reorder annihilates every top-level collision element
-    bad = 0
+    fails = rep.counts()["fail"]
     batch = []
     for _ in range(kill_samples):
         elem = _sample_collision(params, k, rng)
         z = elem.poly(field)
         if not signed_reorder(params, k, z).is_zero():
-            bad += 1
             rep.add("reorder kills the top collision family",
                     f"level {k}, {elem.kind}", False,
                     {"word": word_to_text(elem.words[0])})
@@ -811,45 +808,36 @@ def verify_phi(params: ConstructionParams, kill_samples: int = 100,
             for zz in batch:
                 combo = combo + zz.scale(_nonzero(field, rng, (1, 2, -1, 3)))
             if not signed_reorder(params, k, combo).is_zero():
-                bad += 1
                 rep.add("reorder kills combinations of collision elements",
                         f"level {k}", False, {})
             batch = []
-    if not bad:
+    if rep.counts()["fail"] == fails:
         rep.add("reorder kills the top collision family", f"level {k}", True,
                 {"samples": kill_samples})
 
     # fix and sign: sorted checkpoint letters are fixed, transposed letters
     # flip the sign and land on the same sorted image, foreign letters die
-    def image(word):  # the reorder of one word, as a monomial
-        return signed_reorder(params, k, FreePoly.monomial(field, word))
-    bad = 0
+    fails = rep.counts()["fail"]
     for _ in range(fix_samples):
         word = [0] * length
         for _ in range(rng.randint(0, 2)):
             word[rng.randrange(length)] = rng.randint(1, 2)
         for i, t in zip(slots, targets):
             word[i] = t
-        sorted_word = tuple(word)
-        fixed = FreePoly.monomial(field, sorted_word)
-        if image(sorted_word) != fixed:
-            bad += 1
-            rep.add("reorder fixes checkpoint-sorted words", "fix", False,
-                    {"word": word_to_text(sorted_word)})
+        fixed = FreePoly.monomial(field, word)
         a, b = (slots[i] for i in rng.sample(range(len(slots)), 2))
-        swapped = list(sorted_word)
-        swapped[a], swapped[b] = swapped[b], swapped[a]
-        if image(swapped) != -fixed:
-            bad += 1
-            rep.add("reorder signs a transposition by -1", "sign", False,
-                    {"word": word_to_text(tuple(swapped))})
-        foreign = list(sorted_word)
+        swapped, foreign = list(word), list(word)
+        swapped[a], swapped[b] = word[b], word[a]
         foreign[slots[0]] = targets[-1] + 1
-        if not image(foreign).is_zero():
-            bad += 1
-            rep.add("reorder kills foreign checkpoint letters", "kill", False,
-                    {"word": word_to_text(tuple(foreign))})
-    if not bad:
+        for w, image, claim, component in (
+                (word, fixed, "reorder fixes checkpoint-sorted words", "fix"),
+                (swapped, -fixed, "reorder signs a transposition by -1",
+                 "sign"),
+                (foreign, FreePoly.zero(field),
+                 "reorder kills foreign checkpoint letters", "kill")):
+            if signed_reorder(params, k, FreePoly.monomial(field, w)) != image:
+                rep.add(claim, component, False, {"word": word_to_text(w)})
+    if rep.counts()["fail"] == fails:
         rep.add("reorder fixes sorted words, signs transpositions, kills "
                 "foreign letters", f"level {k}", True,
                 {"samples": fix_samples})
@@ -858,12 +846,11 @@ def verify_phi(params: ConstructionParams, kill_samples: int = 100,
     for j in range(1, k):
         if not params.level_valid(j):
             rep.add("reorder preserves the lower collision span",
-                    f"level {j}", True,
+                    f"level {j}", "info",
                     {"note": "level degenerate, lower family is zero"})
             continue
         Nj = params.block(j)
-        bad = 0
-        killed = 0
+        fails = rep.counts()["fail"]
         moved = 0
         for t in range(preserve_trials):
             m = rng.randrange(0, (length - (Nj - 1)) // Nj + 1)
@@ -884,7 +871,6 @@ def verify_phi(params: ConstructionParams, kill_samples: int = 100,
             a = FreePoly(field, {w: field.one for w in embedded})
             img = signed_reorder(params, k, a)
             if img.is_zero():
-                killed += 1
                 continue
             moved += 1
             witness = _window_collision(params, j, img, m)
@@ -893,17 +879,16 @@ def verify_phi(params: ConstructionParams, kill_samples: int = 100,
                 for iw, sw in zip(sorted(img.terms), sorted(a.terms))
             )
             if witness is None or touched_outside:
-                bad += 1
                 rep.add("reorder preserves the lower collision span",
                         f"level {j}, trial {t}", False,
                         {"m": m,
                          "witness": None if witness is None else witness.kind,
                          "touched_outside": touched_outside})
-        if not bad:
+        if rep.counts()["fail"] == fails:
             rep.add("reorder preserves the lower collision span",
                     f"level {j}", True,
-                    {"trials": preserve_trials, "killed": killed,
-                     "moved": moved})
+                    {"trials": preserve_trials,
+                     "killed": preserve_trials - moved, "moved": moved})
     return rep
 
 
@@ -941,7 +926,7 @@ def verify_series(field=None, dimension: int = 3, trials: int = 25,
                                     "trials": trials}, seed=seed)
     rng = random.Random(seed)
     n = dimension
-    bad = 0
+    fails = rep.counts()["fail"]
     refused = 0
     for t in range(trials):
         u = _nonzero_strict_upper(field, n, rng)
@@ -965,13 +950,12 @@ def verify_series(field=None, dimension: int = 3, trials: int = 25,
         except ArithmeticError:
             ok = False
         if not ok:
-            bad += 1
             rep.add("series identities for 1 - c X^p", f"trial {t}", False,
                     {"s_index": s})
     rep.add("series inverses and coefficient identities hold exactly",
-            f"{n} x {n}", bad == 0,
+            f"{n} x {n}", rep.counts()["fail"] == fails,
             {"trials": trials, "premise_refusals": refused})
-    bad = 0
+    fails = rep.counts()["fail"]
     max_alpha = trials + 4
     if field.characteristic:
         max_alpha = field.characteristic - 1
@@ -988,18 +972,17 @@ def verify_series(field=None, dimension: int = 3, trials: int = 25,
                               mat_scale(field, g, field.reduce(av ** d)))
             samples.append((field.reduce(av), acc))
         if vandermonde_extract(field, samples, lo, hi) != parts:
-            bad += 1
             rep.add("sampled evaluations recover components", f"trial {t}",
                     False, {"degrees": [lo, hi]})
         zero = zero_matrix(field, n)
         zeroed = [(alpha, zero) for alpha, _ in samples]
         if any(not mat_is_zero(g)
                for g in vandermonde_extract(field, zeroed, lo, hi)):
-            bad += 1
             rep.add("all-zero evaluations yield all-zero components",
                     f"trial {t}", False, {"degrees": [lo, hi]})
     rep.add("sampled evaluations recover the graded components exactly",
-            f"{n} x {n}", bad == 0, {"trials": trials})
+            f"{n} x {n}", rep.counts()["fail"] == fails,
+            {"trials": trials})
     return rep
 
 

@@ -183,8 +183,9 @@ def test_criterion_07_signed_reorder():
     rep = verify_phi(params, kill_samples=100, fix_samples=20,
                      preserve_trials=20, seed=0)
     assert rep.verdict == "pass", failed_checks(rep)
-    # at (2,2,2) the lower level is degenerate, so preservation holds
-    # vacuously; exercise the constructive case at (3,2,2) as well
+    # at (2,2,2) the lower level is degenerate, so preservation has no
+    # family to carry and is reported as info; exercise the constructive
+    # case at (3,2,2) as well
     rep2 = verify_phi(ConstructionParams(3, 2, 2, Q), kill_samples=20,
                       fix_samples=10, preserve_trials=10, seed=0)
     assert rep2.verdict == "pass", failed_checks(rep2)

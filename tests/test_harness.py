@@ -1,5 +1,6 @@
 """Verification campaigns: reports, determinism, and the dispatch registry."""
 import hashlib
+import itertools
 import json
 import tracemalloc
 
@@ -456,6 +457,12 @@ def test_verify_phi():
     rep = verify_phi(P222, kill_samples=10, fix_samples=5,
                      preserve_trials=4, seed=0)
     assert rep.verdict == "pass"
+    # level 1 is degenerate at (2,2,2): its empty family is reported, not
+    # passed
+    [lower] = [c for c in rep.checks if c.component == "level 1"]
+    assert (lower.claim, lower.verdict, lower.detail) == (
+        "reorder preserves the lower collision span", "info",
+        {"note": "level degenerate, lower family is zero"})
 
 
 def test_verify_phi_constructive_preservation():
@@ -519,6 +526,256 @@ def test_verify_series_redraws_a_zero_matrix(monkeypatch):
     assert [p for _, p, _ in calls] == [2, 3, 1]
 
 
+# -- forced failures ------------------------------------------------------------------
+#
+# Each campaign below runs with one of its collaborators made wrong on every
+# n-th call, so that its failure branches record what they saw.  The tests
+# pin those records and the summary each campaign closes with, which must be
+# absent (z_closure, phi) or failed (products, series) once a check failed.
+
+
+def _every(n, func, wrong):
+    """func, with the result of every n-th call replaced by
+    wrong(args, result)."""
+    calls = itertools.count(1)
+
+    def patched(*args):
+        got = func(*args)
+        return wrong(args, got) if next(calls) % n == 0 else got
+    return patched
+
+
+def _flip(args, cert):
+    """A certificate of the other kind, with nothing in it."""
+    if cert.kind == "member":
+        return MembershipCertificate("non_member", functional={})
+    return MembershipCertificate("member", combination=[])
+
+
+def _failures(rep):
+    return [(c.claim, c.component, c.detail) for c in rep.checks
+            if c.verdict == "fail"]
+
+
+def _letters(text, length):
+    """The nonzero letters of a word written by word_to_text, by position,
+    after checking the word has the given length."""
+    letters = [int(x[1:]) for x in text.split(".")]
+    assert len(letters) == length
+    return {i: x for i, x in enumerate(letters) if x}
+
+
+KILL = "reorder kills the top collision family"
+COMBO = "reorder kills combinations of collision elements"
+FIX = "reorder fixes checkpoint-sorted words"
+SIGN = "reorder signs a transposition by -1"
+FOREIGN = "reorder kills foreign checkpoint letters"
+PRESERVE = "reorder preserves the lower collision span"
+FIXES = ("reorder fixes sorted words, signs transpositions, kills foreign "
+         "letters")
+
+# (params, kill_samples, what every third signed_reorder call returns,
+#  failure records as (claim, component, nonzero letters of the word or
+#  None), the top level's passing summaries, the preservation summary of the
+#  level below it)
+REORDER_FAILURES = [
+    # the fix and sign checks start on call 13: every foreign word survives
+    ((3, 2, 2), 10, "input", [
+        (KILL, "level 2, swap", {5: 2, 17: 1, 36: 1}),
+        (COMBO, "level 2", None),
+        (KILL, "level 2, swap", {5: 1, 8: 1, 41: 1}),
+        (COMBO, "level 2", None),
+        (FOREIGN, "kill", {2: 7, 5: 3, 11: 6, 76: 1}),
+        (FOREIGN, "kill", {2: 7, 5: 3, 11: 6, 24: 1, 37: 1}),
+        (FOREIGN, "kill", {2: 7, 5: 3, 11: 6, 60: 2}),
+    ], [], {"trials": 4, "killed": 2, "moved": 2}),
+    # they start on call 11: every transposed word keeps its sign
+    ((2, 2, 3), 9, "input", [
+        (KILL, "level 3, swap", {63: 2, 71: 1, 144: 1}),
+        (COMBO, "level 3", None),
+        (KILL, "level 3, repeat", {}),
+        (SIGN, "sign", {31: 16, 46: 2, 63: 64, 127: 32, 508: 1}),
+        (SIGN, "sign", {31: 16, 63: 64, 127: 32, 154: 1}),
+        (SIGN, "sign", {31: 16, 63: 64, 127: 32}),
+    ], [], {"trials": 4, "killed": 1, "moved": 3}),
+    # they start on call 9, and a zero image kills every collision element
+    # but fixes no sorted word
+    ((3, 2, 2), 7, "zero", [
+        (FIX, "fix", {5: 3, 8: 2, 11: 6, 72: 1}),
+        (FIX, "fix", {5: 3, 11: 6}),
+        (FIX, "fix", {5: 3, 11: 6}),
+    ], [KILL], {"trials": 4, "killed": 3, "moved": 1}),
+]
+
+
+@pytest.mark.parametrize(
+    "shape, kill_samples, wrong, expected, passed, preserved",
+    REORDER_FAILURES)
+def test_verify_phi_records_each_reorder_failure(shape, kill_samples, wrong,
+                                                 expected, passed, preserved,
+                                                 monkeypatch):
+    params = ConstructionParams(*shape, Q)
+    k = shape[2]
+    length = params.block(k) - 1
+
+    def image(args, got):
+        return args[2] if wrong == "input" else FreePoly.zero(Q)
+    monkeypatch.setattr(harness, "signed_reorder",
+                        _every(3, harness.signed_reorder, image))
+    rep = verify_phi(params, kill_samples=kill_samples, fix_samples=3,
+                     preserve_trials=4, seed=0)
+    got = _failures(rep)
+    assert [(claim, component) for claim, component, _ in got] == [
+        (claim, component) for claim, component, _ in expected]
+    for (claim, _, detail), (_, _, letters) in zip(got, expected):
+        if letters is None:
+            assert detail == {}
+        else:
+            assert list(detail) == ["word"]
+            assert _letters(detail["word"], length) == letters
+    assert [c.claim for c in rep.checks if c.component == f"level {k}"
+            and c.verdict != "fail"] == passed
+    [summary] = [c for c in rep.checks if c.component == f"level {k - 1}"]
+    assert (summary.claim, summary.verdict, summary.detail) == (
+        PRESERVE, "pass", preserved)
+
+
+def test_verify_phi_records_each_preservation_failure(monkeypatch):
+    # no image is recognised as an embedded collision element, so every
+    # trial the reorder does not kill fails, and level 1 has no summary
+    monkeypatch.setattr(harness, "_window_collision", lambda *args: None)
+    rep = verify_phi(ConstructionParams(3, 2, 2, Q), kill_samples=5,
+                     fix_samples=2, preserve_trials=6, seed=0)
+    assert _failures(rep) == [
+        (PRESERVE, f"level 1, trial {t}",
+         {"m": m, "witness": None, "touched_outside": False})
+        for t, m in ((0, 22), (2, 9), (4, 19))]
+    assert [(c.claim, c.component, c.verdict, c.detail)
+            for c in rep.checks if c.verdict != "fail"] == [
+        (KILL, "level 2", "pass", {"samples": 5}),
+        (FIXES, "level 2", "pass", {"samples": 2}),
+    ]
+
+
+def test_verify_series_records_each_identity_and_extraction_failure(
+        monkeypatch):
+    def ones(args, got):  # every component wrong, none of them zero
+        return [tuple(tuple(Q.one for _ in row) for row in g) for g in got]
+    monkeypatch.setattr(harness, "coefficient_identity",
+                        _every(4, harness.coefficient_identity,
+                               lambda args, got: False))
+    monkeypatch.setattr(harness, "vandermonde_extract",
+                        _every(3, harness.vandermonde_extract, ones))
+    rep = verify_series(Q, dimension=3, trials=6, seed=0)
+    identities = [("series identities for 1 - c X^p", f"trial {t}",
+                   {"s_index": 2}) for t in range(6)]
+    assert _failures(rep) == identities + [
+        ("series inverses and coefficient identities hold exactly", "3 x 3",
+         {"trials": 6, "premise_refusals": 6}),
+        ("sampled evaluations recover components", "trial 1",
+         {"degrees": [1, 1]}),
+        ("all-zero evaluations yield all-zero components", "trial 2",
+         {"degrees": [2, 4]}),
+        ("sampled evaluations recover components", "trial 4",
+         {"degrees": [1, 3]}),
+        ("all-zero evaluations yield all-zero components", "trial 5",
+         {"degrees": [1, 1]}),
+        ("sampled evaluations recover the graded components exactly",
+         "3 x 3", {"trials": 6}),
+    ]
+    assert rep.counts() == {"pass": 0, "fail": 12, "info": 0}
+
+
+def _raise_zero_division(*args):
+    raise ZeroDivisionError("forced")
+
+
+@pytest.mark.parametrize("name, stub", [
+    # an inverse below the derivation index that is not refused
+    ("invert_one_minus", lambda *args: None),
+    # an identity that raises instead of answering
+    ("coefficient_identity", _raise_zero_division),
+])
+def test_verify_series_records_an_unrefused_inverse_or_an_arithmetic_error(
+        name, stub, monkeypatch):
+    monkeypatch.setattr(harness, name, stub)
+    rep = verify_series(Q, dimension=3, trials=3, seed=0)
+    assert _failures(rep) == [
+        ("series identities for 1 - c X^p", f"trial {t}", {"s_index": 2})
+        for t in range(3)] + [
+        ("series inverses and coefficient identities hold exactly", "3 x 3",
+         {"trials": 3, "premise_refusals": 0})]
+    assert (rep.checks[-1].verdict, rep.checks[-1].detail) == (
+        "pass", {"trials": 3})
+
+
+def test_verify_counterexample_counts_each_product_component_left_over(
+        monkeypatch):
+    # a normal form that reduces nothing leaves every component of both
+    # products nonzero modulo the ideal
+    monkeypatch.setattr(SpanOracle, "normal_form", lambda self, a, q: a)
+    rep = verify_counterexample(P10, h_max=1, products=2, seed=0)
+    assert _failures(rep) == [
+        ("products of 2N degree-zero elements vanish modulo the ideal",
+         "lengths 34..49", {"products": 2, "failures": 29})]
+
+
+PRODUCT ="x0-joined product of non-members is a non-member"
+
+
+def test_verify_products_records_each_failed_product(monkeypatch):
+    # a flipped factor verdict either skips a non-member or admits a member
+    # whose empty functional fails verification; a flipped product verdict
+    # is a member outright
+    monkeypatch.setattr(SpanOracle, "member",
+                        _every(5, SpanOracle.member, _flip))
+    rep = verify_products(ConstructionParams(4, 2, 1, Q), trials=6, seed=0)
+    got = _failures(rep)
+    assert [(claim, component, detail["h"], detail["certificate"]["kind"],
+             detail["certificate"]["entries"])
+            for claim, component, detail in got[:-1]] == [
+        (PRODUCT, "(11, 5)", 2, "member", 12),
+        (PRODUCT, "(11, 4)", 2, "member", 2),
+    ]
+    assert got[1][2]["certificate"]["combination"] == {"1309": "-12",
+                                                       "1313": "-6"}
+    assert got[-1] == (PRODUCT, "level 1",
+                       {"trials": 6, "skipped_member_factors": 7})
+    assert rep.counts() == {"pass": 0, "fail": 3, "info": 0}
+
+
+def test_verify_products_records_a_trial_without_a_non_member_factor(
+        monkeypatch):
+    # every draw is a member, so each trial gives up after 12 of them
+    monkeypatch.setattr(SpanOracle, "member", lambda self, a, q:
+                        MembershipCertificate("member", combination=[]))
+    rep = verify_products(ConstructionParams(4, 2, 1, Q), trials=2, seed=0)
+    assert _failures(rep) == [
+        ("found a non-member factor", "trial 0", {"skips": 12}),
+        ("found a non-member factor", "trial 1", {"skips": 24}),
+        (PRODUCT, "level 1", {"trials": 0, "skipped_member_factors": 24}),
+    ]
+
+
+def test_verify_z_closure_records_each_failed_sample(monkeypatch):
+    monkeypatch.setattr(SpanOracle, "member",
+                        _every(5, SpanOracle.member, _flip))
+    rep = verify_z_closure(P10, samples=6, seed=0)
+    claim = "derivative of a collision element stays in the span"
+    got = _failures(rep)
+    assert [(c, component, detail["kind"], detail["word"],
+             detail["certificate"]["kind"], detail["certificate"]["entries"])
+            for c, component, detail in got] == [
+        (claim, "level 1, degree 3", "swap", "x0.x0.x2.x0.x1.x0.x0.x0.x0",
+         "member", 9),
+        (claim, "level 1, degree 4", "repeat", "x2.x0.x2.x0.x0.x0.x0.x0.x0",
+         "non_member", 0),
+    ]
+    assert got[1][2]["certificate"]["functional"] == {}
+    # the level's summary is left out, and nothing else is recorded
+    assert len(rep.checks) == 2
+
+
 # -- dispatch -------------------------------------------------------------------------
 
 
@@ -542,7 +799,7 @@ def test_run_campaign_dispatch_all():
         "products": "6ee261b8b9eafc7920f4da81e587ce7d0d51e00c1de3c781ccfb2eadac1201b0",
         "escape": "e2a32bb630d1568e69996426d01e4410b08f683eb118c19bb8c0a048f72262e1",
         "counterexample": "7dd5722a86ddde52ba4fd3c4ca2cfc50ccd37c4bf8b355c89ce0aef96a8ff5e2",
-        "phi": "df8e0d7a63ddbc0e1cb299b38f38129c43dc5deb00042eac2a068d9104a50f5e",
+        "phi": "c440b242dc18bf9b9f530dfb8cb78732463bb858ceaa19bdb1c6b41b67fcb77d",
         "series": "7fe2bf815ba39e8ef9a3452f4b84ccd4e638d576ad3dfe5af94df9e955310988",
     }
     for name in CAMPAIGNS:
