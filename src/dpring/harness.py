@@ -183,19 +183,22 @@ def _params_dict(params: ConstructionParams) -> dict:
 
 
 _init = operator.itemgetter(slice(None, -1))
+_last = operator.itemgetter(-1)
 
 
 def _ballot_graded(words, m: int, t: int, prefixes) -> bool:
     """Whether every word of a_t in (x0 X)^m is proved, wholesale, to have
-    length m and degree m - t and to be a ballot word.  By induction: the
-    letters of such a word sum to m - t, which stays below its length when
-    t >= 1, so it is a ballot word when its prefix w[:-1] is, and
-    `prefixes` holds only ballot words, those of (x0 X)^(m-1).  False
-    proves nothing: the caller then tests word by word."""
+    length m and degree m - t and to be a ballot word.  By induction:
+    `prefixes` maps each word of (x0 X)^(m-1), all proved ballot words, to
+    its degree, so a word of length m whose prefix w[:-1] it holds has
+    degree prefixes[w[:-1]] + w[-1]; when that is m - t it stays below the
+    length for t >= 1, and the word is a ballot word.  The lengths are
+    checked first, so no empty word reaches `_last`.  False proves nothing:
+    the caller then tests word by word."""
     return (t >= 1 and prefixes is not None
             and all(map(m.__eq__, map(len, words)))
-            and all(map((m - t).__eq__, map(sum, words)))
-            and all(map(prefixes.__contains__, map(_init, words))))
+            and all(map(operator.eq, map(prefixes.get, map(_init, words)),
+                        map((m - t).__sub__, map(_last, words)))))
 
 
 def verify_ballot(field=None, m_max: int = 8,
@@ -207,17 +210,19 @@ def verify_ballot(field=None, m_max: int = 8,
     zero; every monomial is a ballot word (partial letter sums stay below the
     position) of degree m - t; the distinct monomials across all t
     (`monomials`, the coefficients' terms once the grading holds) number the
-    m-th Catalan number; and the window's term stream (`window_terms`)
-    matches the power term by term.  The converse (every ballot word appears
-    with nonzero coefficient) is reported informationally.  An m_max over
-    max_expand_m is refused before any expansion.
+    m-th Catalan number; and the window's runs (`window_terms`) match the
+    power term by term, each run looked up with C-level maps.  The converse
+    (every ballot word appears with nonzero coefficient) is reported
+    informationally.  An m_max over max_expand_m is refused before any
+    expansion.
 
     The word test runs per coefficient with C-level maps (`_ballot_graded`),
-    against the previous power's words as a set of proved ballot prefixes.
-    That set is collected after each product, only when the previous power
-    had no offender, and released before the walk.  A coefficient the maps
-    do not prove is tested word by word, so the offender reported (the last
-    failing word in term order) is the same either way.
+    against the previous power's words mapped to their degrees, as proved
+    ballot prefixes.  That map is built after each product, only when the
+    previous power had no offender, and released before the walk.  A
+    coefficient the maps do not prove is tested word by word, so the
+    offender reported (the last failing word in term order) is the same
+    either way.
     """
     _at_least(0, m_max=m_max)
     if m_max > budgets.max_expand_m:
@@ -230,8 +235,10 @@ def verify_ballot(field=None, m_max: int = 8,
     for m in range(0, m_max + 1):
         if m:
             full = full * step
-            if clean:  # the last power's words, which its terms still hold
-                prefixes = set().union(*terms.values())
+            if clean:  # the last power's words and degrees, from its terms
+                prefixes = {}
+                for t, words in terms.items():
+                    prefixes.update(dict.fromkeys(words, m - 1 - t))
         ok = True
         detail: dict = {}
         terms = {t: coeff.terms for t, coeff in full.coeffs.items()}
@@ -259,12 +266,13 @@ def verify_ballot(field=None, m_max: int = 8,
         top = FreePoly.monomial(field, (0,) * m)
         if full.coeff(m) != top:
             ok = False
-        # the stream is a_t when each term is one of a_t's and it has as
-        # many: it repeats no word and yields no zero
+        # the runs are a_t when each term is one of a_t's and they have as
+        # many: they repeat no word and yield no zero
         left, bad = {t: len(words) for t, words in terms.items()}, set()
-        for t, w, c in window_terms(field, m, 0):
-            left[t] = left.get(t, 0) - 1
-            if terms.get(t, {}).get(w) != c:
+        for t, words, weights in window_terms(field, m, 0):
+            left[t] = left.get(t, 0) - len(words)
+            if not all(map(operator.eq, map(terms.get(t, {}).get, words),
+                           weights)):
                 bad.add(t)
         bad.update(t for t, n in left.items() if n)
         if bad:
@@ -328,6 +336,8 @@ def verify_z_closure(params: ConstructionParams, samples: int = 25, seed: int = 
     is a member of its own component's span, and D(z) is a member of the span
     one degree up.  The certificates of the first verify_limit samples per
     level are additionally re-verified against a regenerated spanning family.
+    A failed sample's record summarises both certificates, z's own
+    (`self_certificate`) and D(z)'s.
     Sampled elements have degree below degree_cap, so the cap must be >= 1.
     Degenerate levels have no collision family and are skipped; with no
     other level the campaign raises ParamsError.
@@ -368,6 +378,8 @@ def verify_z_closure(params: ConstructionParams, samples: int = 25, seed: int = 
                         f"level {k}, degree {d}", False,
                         {"kind": elem.kind,
                          "word": word_to_text(elem.words[0]),
+                         "self_certificate": summarize_certificate(field,
+                                                                   self_cert),
                          "certificate": summarize_certificate(field, cert)})
             else:
                 max_witness = max(max_witness, len(cert.combination))
@@ -521,8 +533,9 @@ def verify_products(params: ConstructionParams, k: int = 1, trials: int = 20,
     component, certifies each lies outside the level-k span (resampling
     members, which are counted as skips, at most 12 draws per factor), forms
     their x0-joined product, and certifies the product outside the span of
-    its own component.  A degenerate level, with no collision span, is
-    refused first.
+    its own component.  Every factor's certificate is verified, and a failed
+    product's record names each factor whose certificate failed.  A
+    degenerate level, with no collision span, is refused first.
     """
     params.slots(k)
     _at_least(1, trials=trials)
@@ -567,13 +580,18 @@ def verify_products(params: ConstructionParams, k: int = 1, trials: int = 20,
         pq = SpanQuery("collisions", pl, pd, level=k)
         pcert = oracle.member(product, pq)
         ok = (pcert.kind == "non_member"
-              and oracle.verify(product, pq, pcert)
-              and all(oracle.verify(r, q, c) for r, _, q, c in factors))
+              and oracle.verify(product, pq, pcert))
+        # every factor is verified, so a failure record names each that fails
+        failed = [{"index": i, "component": f"({length}, {d})",
+                   "certificate": summarize_certificate(field, c)}
+                  for i, (r, d, q, c) in enumerate(factors)
+                  if not oracle.verify(r, q, c)]
         done += 1
-        if not ok:
+        if not ok or failed:
             rep.add("x0-joined product of non-members is a non-member",
                     f"({pl}, {pd})", False,
-                    {"h": h, "certificate": summarize_certificate(field, pcert)})
+                    {"h": h, "certificate": summarize_certificate(field, pcert),
+                     "failed_factors": failed})
     rep.add("x0-joined product of non-members is a non-member",
             f"level {k}", rep.verdict == "pass",
             {"trials": done, "skipped_member_factors": skips})

@@ -13,8 +13,10 @@ multiplies out step by step through the generic product, `expand_power_window`
 writes the coefficients at or above a window floor in closed form, one
 binomial product per word.  They are deliberately independent so each can be
 checked against the other.  `window_terms` is the window's walk itself,
-yielding one term at a time, so a check can stream it against a full
-expansion without building the window.  `PowerCoefficient` is a third, lazy
+yielding one run of terms of a single coefficient at a time, so a check can
+stream it against a full expansion without building the window; each run is
+a walked suffix behind every walked prefix of one degree (`_walk` is the one
+walk over letters).  `PowerCoefficient` is a third, lazy
 route: one coefficient that is never materialised and weighs a single word on
 request with the window's closed form (`word_weight`).
 """
@@ -22,7 +24,7 @@ request with the window's closed form (`word_weight`).
 from __future__ import annotations
 
 import re
-from itertools import compress
+from itertools import compress, repeat
 from math import comb
 
 from .budgets import BudgetExceeded, DEFAULT_BUDGETS
@@ -182,19 +184,50 @@ def expand_power(field, m: int, max_expand_m: int | None = None) -> OrePoly:
     return out
 
 
+def _walk(n: int, j0: int, room: int, reduce) -> list:
+    """The words of n letters that right multiplications by x0 X write from
+    X^j0, of degree at most room and weight nonzero in the field, as (word,
+    degree, integer weight): the s-th letter multiplies the weight by
+    C(j_{s-1}, w_s), j_s = j0 + s - (w_1 + .. + w_s).  Depth first, placing
+    only the nonzero letters, so each word is built once; since weights only
+    multiply, one that vanishes in the field prunes its whole subtree."""
+    out = []
+    # (word up to its last nonzero letter, its degree, its integer weight)
+    stack = [((), 0, 1)]
+    while stack:
+        head, deg, n_head = stack.pop()
+        q = len(head)
+        out.append((head + (0,) * (n - q), deg, n_head))
+        left = room - deg
+        if left <= 0:
+            continue
+        for s in range(q + 1, n + 1):  # position of the next nonzero letter
+            j = j0 + s - 1 - deg  # X-exponent reached by the first s - 1
+            lead = head + (0,) * (s - 1 - q)
+            for k in range(1, min(j, left) + 1):
+                nk = n_head * comb(j, k)
+                if reduce(nk):
+                    stack.append((lead + (k,), deg + k, nk))
+    return out
+
+
 def window_terms(field, m: int, floor: int):
     """Every term of the coefficients a_t of (x0 X)^m with t >= floor, as
-    (t, word, weight) triples in walk order.
+    runs (t, words, weights): parallel lists of words of a_t and their
+    weights in the field.
 
     Right multiplication by x0 X sends a_j X^j to sum_k C(j, k) a_j x_k
     X^(j-k+1), so a word w of length m carries the weight
     prod_s C(j_{s-1}, w_s) with j_s = s - (w_1 + .. + w_s), and lands in
-    a_t for t = m - deg w.  The window bounds deg w by m - floor.  A
-    depth-first walk places only the nonzero letters, each word is built
-    once, and since weights only multiply, a weight of zero in the field
-    (over GF(p)) prunes the whole subtree.  So no (t, word) comes twice and
-    no weight is zero, and a caller can check the terms as they come
-    without holding the window.
+    a_t for t = m - deg w.  The window bounds deg w by m - floor.  Split at
+    c = 2m // 3, the weight is a prefix part times a suffix part, and the
+    suffix part depends on the prefix only through its degree du.  So the
+    prefixes are walked once (`_walk`) and grouped by du, the suffixes
+    from X^(c - du) once per du, and each suffix v gives one run: every
+    prefix of degree du followed by v.  Over GF(p) a product of nonzero
+    weights is nonzero, so pruning each half prunes exactly the words whose
+    weight vanishes.  No (t, word) comes twice and no weight is zero, so a
+    caller can check the runs as they come without holding the window.
     """
     if floor > m:
         raise ValueError(f"window floor {floor} exceeds the exponent {m}")
@@ -202,32 +235,24 @@ def window_terms(field, m: int, floor: int):
         raise ValueError("exponent must be >= 0")
     budget = m - max(floor, 0)
     reduce = field.reduce
-    # (word up to its last nonzero letter, its degree, its integer weight
-    # and that weight in the field)
-    stack = [((), 0, 1, field.one)]
-    while stack:
-        head, deg, n, w = stack.pop()
-        q = len(head)
-        yield m - deg, head + (0,) * (m - q), w
-        room = budget - deg
-        if room <= 0:
-            continue
-        for s in range(q + 1, m + 1):  # position of the next nonzero letter
-            j = s - 1 - deg  # X-exponent reached by the first s - 1 letters
-            lead = head + (0,) * (s - 1 - q)
-            for k in range(1, min(j, room) + 1):
-                nk = n * comb(j, k)
-                wk = reduce(nk)
-                if wk:
-                    stack.append((lead + (k,), deg + k, nk, wk))
+    c = 2 * m // 3
+    heads: dict[int, tuple[list, list]] = {}
+    for u, du, nu in _walk(c, 0, budget, reduce):
+        us, nus = heads.setdefault(du, ([], []))
+        us.append(u)
+        nus.append(nu)
+    for du, (us, nus) in heads.items():
+        for v, dv, nv in _walk(m - c, c - du, budget - du, reduce):
+            yield (m - du - dv, list(map(tuple.__add__, us, repeat(v))),
+                   list(map(reduce, map(nv.__mul__, nus))))
 
 
 def expand_power_window(field, m: int, floor: int) -> dict[int, FreePoly]:
     """Coefficients a_t of (x0 X)^m for all t >= floor, in closed form: the
-    terms of `window_terms` collected, keyed by descending t."""
+    runs of `window_terms` collected, keyed by descending t."""
     out: dict[int, dict] = {}
-    for t, word, w in window_terms(field, m, floor):
-        out.setdefault(t, {})[word] = w
+    for t, words, weights in window_terms(field, m, floor):
+        out.setdefault(t, {}).update(zip(words, weights))
     return {t: FreePoly(field, out[t]) for t in sorted(out, reverse=True)}
 
 

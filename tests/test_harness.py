@@ -15,7 +15,7 @@ from dpring.construction import (
     SpanQuery,
 )
 from dpring.fields import PrimeField, RationalField
-from dpring.freealg import FreePoly
+from dpring.freealg import FreePoly, word_to_text
 from dpring.membership import MembershipCertificate
 from dpring.ore import (
     OrePoly,
@@ -126,33 +126,35 @@ def test_verify_ballot_gf2():
     assert rep.verdict == "pass"
 
 
-def _drop(terms, i):
-    del terms[i]
+def _drop(runs, i):
+    t, words, weights = runs[i]
+    runs[i] = (t, words[1:], weights[1:])
 
 
-def _reweigh(terms, i):
-    t, word, weight = terms[i]
-    terms[i] = (t, word, weight + 1)
+def _reweigh(runs, i):
+    t, words, weights = runs[i]
+    runs[i] = (t, words, [weights[0] + 1] + weights[1:])
 
 
-def _repeat(terms, i):
-    terms.insert(i, terms[i])
+def _repeat(runs, i):
+    t, words, weights = runs[i]
+    runs[i] = (t, words + words[:1], weights + weights[:1])
 
 
-def _add_foreign(terms, i):
+def _add_foreign(runs, i):
     # a word of a_2's degree that is no ballot word, so no power has it
-    terms.append((2, (2, 0, 0, 0), 1))
+    runs.append((2, [(2, 0, 0, 0)], [1]))
 
 
 @pytest.mark.parametrize("touch", [_drop, _reweigh, _repeat, _add_foreign])
 def test_verify_ballot_window_stream_mismatch(touch, monkeypatch):
-    # one term of a_2 in (x0 X)^4's window stream touched: the m=4 record
-    # fails and names t = 2, every other record passes
+    # one word of one a_2 run in (x0 X)^4's window stream touched: the m=4
+    # record fails and names t = 2, every other record passes
     def stream(field, m, floor):
-        terms = list(window_terms(field, m, floor))
+        runs = list(window_terms(field, m, floor))
         if m == 4:
-            touch(terms, next(i for i, (t, _, _) in enumerate(terms) if t == 2))
-        return iter(terms)
+            touch(runs, next(i for i, (t, _, _) in enumerate(runs) if t == 2))
+        return iter(runs)
     monkeypatch.setattr(harness, "window_terms", stream)
     rep = verify_ballot(Q, m_max=5)
     failed = [c for c in rep.checks if c.verdict == "fail"]
@@ -222,7 +224,7 @@ def test_verify_ballot_audits_a_word_with_an_unseen_prefix_word_by_word(
     def stream(field, m, floor):
         yield from window_terms(field, m, floor)
         if m == 4:
-            yield 3, word, 1
+            yield 3, [word], [1]
     tested = []
 
     def ballot(w):
@@ -234,6 +236,17 @@ def test_verify_ballot_audits_a_word_with_an_unseen_prefix_word_by_word(
     assert rep.verdict == "pass"
     assert word in tested
     assert rep.checks[4].detail["monomials"] == 11
+
+
+def test_verify_ballot_audits_an_empty_word_word_by_word(monkeypatch):
+    # an empty word in a_1 of (x0 X)^4 fails the length map, so it reaches
+    # the per-word test, which names it, instead of the last-letter map
+    _inject_at_four(monkeypatch, [(1, (), 1)])
+    rep = verify_ballot(Q, m_max=5)
+    failed = [c for c in rep.checks if c.verdict == "fail"]
+    assert [c.component for c in failed] == ["m=4"]
+    assert failed[0].detail["offender"] == {"t": 1, "word": word_to_text(())}
+    assert failed[0].detail["window_mismatch"] == 1
 
 
 def test_verify_ballot_holds_one_power_at_a_time():
@@ -739,6 +752,12 @@ def test_verify_products_records_each_failed_product(monkeypatch):
     ]
     assert got[1][2]["certificate"]["combination"] == {"1309": "-12",
                                                        "1313": "-6"}
+    # the factor admitted by a flipped verdict, with its empty functional
+    empty = {"kind": "non_member", "entries": 0, "functional": {}}
+    assert [detail["failed_factors"] for _, _, detail in got[:-1]] == [
+        [{"index": 1, "component": "(3, 2)", "certificate": empty}],
+        [{"index": 1, "component": "(3, 1)", "certificate": empty}],
+    ]
     assert got[-1] == (PRODUCT, "level 1",
                        {"trials": 6, "skipped_member_factors": 7})
     assert rep.counts() == {"pass": 0, "fail": 3, "info": 0}
@@ -772,6 +791,11 @@ def test_verify_z_closure_records_each_failed_sample(monkeypatch):
          "non_member", 0),
     ]
     assert got[1][2]["certificate"]["functional"] == {}
+    # the first sample failed its own membership, the second its derivative's
+    assert [detail["self_certificate"] for _, _, detail in got] == [
+        {"kind": "non_member", "entries": 0, "functional": {}},
+        {"kind": "member", "entries": 1, "combination": {"238": "1"}},
+    ]
     # the level's summary is left out, and nothing else is recorded
     assert len(rep.checks) == 2
 

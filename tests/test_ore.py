@@ -13,6 +13,7 @@ from dpring.fields import PrimeField, RationalField
 from dpring.freealg import FreePoly, ShiftDerivation, derive, poly_to_text
 from dpring.ore import (
     OrePoly,
+    PowerCoefficient,
     commute_past,
     expand_power,
     expand_power_window,
@@ -245,9 +246,36 @@ def test_window_terms_distinct_and_nonzero(field):
     # a stream checked term by term against a full expansion relies on both
     for m in range(11):
         seen = set()
-        for t, word, weight in window_terms(field, m, 0):
-            assert (t, word) not in seen and weight, (m, t, word)
-            seen.add((t, word))
+        for t, words, weights in window_terms(field, m, 0):
+            assert len(words) == len(weights), (m, t)
+            for word, weight in zip(words, weights):
+                assert (t, word) not in seen and weight, (m, t, word)
+                seen.add((t, word))
+
+
+@given(st.sampled_from([Q, PrimeField(2), PrimeField(3), PrimeField(5),
+                        PrimeField(7)]),
+       st.integers(0, 10))
+@settings(max_examples=25, deadline=None)
+def test_window_runs_property(field, m):
+    # at every floor the runs collect to the full expansion's coefficients,
+    # every word is of its coefficient's grade and none comes twice; on the
+    # widest window, which holds every narrower one's weights, each weight
+    # is also the third route's, PowerCoefficient's closed form
+    full = expand_power(field, m).coeffs
+    for floor in range(-1, m + 1):
+        seen, got = set(), {}
+        for t, words, weights in window_terms(field, m, floor):
+            assert len(words) == len(weights), (m, floor, t)
+            coeff = PowerCoefficient(field, m, t)
+            for word, weight in zip(words, weights):
+                assert len(word) == m and sum(word) == m - t, (m, t, word)
+                assert (t, word) not in seen, (m, floor, t, word)
+                assert floor >= 0 or coeff.get(word) == weight, (m, t, word)
+                seen.add((t, word))
+                got.setdefault(t, {})[word] = weight
+        assert got == {t: p.terms for t, p in full.items() if t >= floor}, (
+            m, floor)
 
 
 def test_window_80_77_pinned():
