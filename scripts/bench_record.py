@@ -10,19 +10,26 @@ first tree's BENCHMARK.json, the script runs SAMPLES seed-0 samples of
 sample so that machine load falls on each alike, then one `--mode traced`
 sample per tree.  It also times every step of `campaign_mix_gf`, as
 `workloads.build` returns them, in STEP-SAMPLES processes per tree,
-alternated the same way.  Every sample is a fresh process with dpring
-imported from its tree's `src/`, `PYTHONHASHSEED=0` as `perfbench/run.py`
-sets it, and `PYTHONDONTWRITEBYTECODE=1`, so no bytecode is written into a
-tree; `setup_s` includes compiling dpring only where a tree holds none.
-Only `time.perf_counter` and the processes' own rusage are read.
+alternated the same way, and then runs each tree's tier-1 suite once
+(`pytest -q -p no:cacheprovider -p no:benchmark --durations=10`), the
+trees in turn.  Every sample is a fresh process with dpring imported from
+its tree's `src/`, `PYTHONHASHSEED=0` as `perfbench/run.py` sets it, and
+`PYTHONDONTWRITEBYTECODE=1`, so no bytecode is written into a tree;
+`setup_s` includes compiling dpring only where a tree holds none.  The
+tier-1 runs keep Hypothesis's example database in a temporary directory and
+block the pytest-benchmark plugin's `.benchmarks` folder, so they too write
+no file into either tree.  Only `time.perf_counter` and the processes' own
+rusage are read.
 
 The file holds, per workload and tree, the median and interquartile range
 of `wall_s`, `setup_s` and `peak_rss_mb` with every sample, `problems` (the
 failed checks and digests of all samples, traced included) and the traced
 layers; per step, the median and interquartile range of its time; with two
 trees or more, the pairwise ratio of the last tree's `wall_s` to the
-first's, sample by sample; and `nproc` and `/proc/loadavg` before and after
-the run.  A label may name the commit, as in `--tree parent-abc1234=PATH`.
+first's, sample by sample; per tree, the tier-1 wall time, exit status,
+summary line and ten slowest test phases; and `nproc` and `/proc/loadavg`
+before and after the run.  A label may name the commit, as in
+`--tree parent-abc1234=PATH`.
 """
 
 from __future__ import annotations
@@ -30,14 +37,18 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 SEED = 0
 TIMEOUT_S = 300
+TIER1_TIMEOUT_S = 1800
+DURATION = re.compile(r"([\d.]+)s (setup|call|teardown) +(\S.*)$")
 END_TO_END = ("wall_s", "setup_s", "peak_rss_mb")
 STEP_TIMES = """
 import json, sys, time
@@ -68,6 +79,28 @@ def _run(tree: Path, args: list[str]) -> dict:
 def _worker(tree: Path, workload: str, mode: str) -> dict:
     return _run(tree, ["perfbench/worker.py", "--workload", workload,
                        "--seed", str(SEED), "--mode", mode])
+
+
+def _tier1(tree: Path) -> dict:
+    """One run of a tree's tier-1 suite: its wall time, exit status, summary
+    line and the slowest phases that --durations lists."""
+    with tempfile.TemporaryDirectory() as hypothesis_dir:
+        env = dict(os.environ, PYTHONPATH=str(tree / "src"),
+                   PYTHONHASHSEED="0", PYTHONDONTWRITEBYTECODE="1",
+                   HYPOTHESIS_STORAGE_DIRECTORY=hypothesis_dir)
+        t0 = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             "-p", "no:benchmark", "--durations=10"],
+            cwd=tree, env=env, capture_output=True, text=True,
+            timeout=TIER1_TIMEOUT_S)
+        wall = time.perf_counter() - t0
+    lines = proc.stdout.strip().splitlines()
+    slowest = [[float(s), phase, test] for s, phase, test in
+               (m.groups() for m in map(DURATION.match, lines) if m)]
+    return {"wall_s": wall, "returncode": proc.returncode,
+            "summary": lines[-1].strip("= ") if lines else "",
+            "slowest": slowest}
 
 
 def _spread(values: list[float]) -> dict:
@@ -141,6 +174,11 @@ def record(trees: dict[str, Path], samples: int, step_samples: int) -> dict:
         out["campaign_mix_gf_steps"][label] = {
             name: _spread([s[name] for s in steps[label]])
             for name in steps[label][0]}
+    out["tier1"] = {}
+    for label, tree in trees.items():
+        out["tier1"][label] = _tier1(tree)
+        print(f"tier-1 {label}: {out['tier1'][label]['wall_s']:.1f} s, "
+              f"{out['tier1'][label]['summary']}", file=sys.stderr)
     out["loadavg_after"] = _loadavg()
     out["elapsed_s"] = time.perf_counter() - started
     return out

@@ -18,17 +18,16 @@ class Budgets:
     """Hard caps that stop a large enumeration before it thrashes; none may
     be negative.
 
-    max_expand_m: largest exponent accepted by the full power expansion.
     max_component_dim: largest bi-graded component dimension a span query
-        may touch; it also bounds the largest component of an `expand`
-        window and the word length m of an escape descent.
+        may touch; it also bounds the largest component of every expansion
+        of (x0 X)^m, full or windowed (`ore.check_expansion`), and the word
+        length m of an escape descent.
     max_basis_size: largest spanning-set size a span query may touch.  The
         family of every space is counted in closed form and refused before
         its first core is built, whether or not the query enumerates it;
         the cap also bounds the rank of any echelon built from the rows.
     """
 
-    max_expand_m: int = 16
     max_component_dim: int = 1_000_000
     max_basis_size: int = 2_000_000
 

@@ -37,6 +37,7 @@ from .fields import RationalField
 from .freealg import FreePoly, derive, word_to_text
 from .ore import (
     PowerCoefficient,
+    check_expansion,
     expand_power,
     expand_power_window,
     is_ballot_word,
@@ -213,8 +214,8 @@ def verify_ballot(field=None, m_max: int = 8,
     m-th Catalan number; and the window's runs (`window_terms`) match the
     power term by term, each run looked up with C-level maps.  The converse
     (every ballot word appears with nonzero coefficient) is reported
-    informationally.  An m_max over max_expand_m is refused before any
-    expansion.
+    informationally.  An m_max whose full expansion is over the budget
+    (`check_expansion`) is refused before any product.
 
     The word test runs per coefficient with C-level maps (`_ballot_graded`),
     against the previous power's words mapped to their degrees, as proved
@@ -225,9 +226,7 @@ def verify_ballot(field=None, m_max: int = 8,
     either way.
     """
     _at_least(0, m_max=m_max)
-    if m_max > budgets.max_expand_m:
-        raise BudgetExceeded(f"ballot refused for m_max={m_max} "
-                             f"(budget {budgets.max_expand_m})", m=m_max)
+    check_expansion(m_max, 0, budgets)
     field = field or RationalField()
     rep = CampaignReport("ballot", {"field": field_label(field), "m_max": m_max})
     step, full = expand_power(field, 1), expand_power(field, 0)
@@ -609,7 +608,7 @@ def _window_cross_check(params: ConstructionParams, k: int, m: int, top: int,
     verdict of by_classes, the descent's certificate for it, verified by
     SpanOracle.verify, and for a non-member the same functional."""
     field = params.field
-    window = expand_power_window(field, m, top)
+    window = expand_power_window(field, m, top, oracle.budgets)
     ok = all(PowerCoefficient(field, m, t).get(w) == c
              for t, p in window.items() for w, c in p.terms.items())
     a = window[top]
@@ -731,7 +730,7 @@ def verify_counterexample(params: ConstructionParams, h_max: int = 2,
                 ok, {"escape_index": i, "members_above": above,
                      "certificate": summarize_certificate(field, cert)})
         # the ideal echelon needs the escape written out
-        a = expand_power_window(field, m, i)[i]
+        a = expand_power_window(field, m, i, budgets)[i]
         ideal_q = SpanQuery("ideal", m, m - i)
         icert = oracle.member(a, ideal_q)
         ok = icert.kind == "non_member" and oracle.verify(a, ideal_q, icert)

@@ -12,7 +12,8 @@ Two expansion routes are provided for powers of (x0 X): `expand_power`
 multiplies out step by step through the generic product, `expand_power_window`
 writes the coefficients at or above a window floor in closed form, one
 binomial product per word.  They are deliberately independent so each can be
-checked against the other.  `window_terms` is the window's walk itself,
+checked against the other; `check_expansion` caps both by the words of the
+largest component they write.  `window_terms` is the window's walk itself,
 yielding one run of terms of a single coefficient at a time, so a check can
 stream it against a full expansion without building the window; each run is
 a walked suffix behind every walked prefix of one degree (`_walk` is the one
@@ -27,13 +28,15 @@ import re
 from itertools import compress, repeat
 from math import comb
 
-from .budgets import BudgetExceeded, DEFAULT_BUDGETS
+from .budgets import BudgetExceeded, Budgets, DEFAULT_BUDGETS
+from .construction import count_words
 from .fields import FieldError
 from .freealg import FreePoly, ShiftDerivation, poly_from_text, poly_to_text
 
 __all__ = [
     "OrePoly",
     "PowerCoefficient",
+    "check_expansion",
     "commute_past",
     "expand_power",
     "expand_power_window",
@@ -160,22 +163,27 @@ def commute_past(a: FreePoly, n: int) -> OrePoly:
     return OrePoly(ring, {n: ring.one()}) * OrePoly(ring, {0: a})
 
 
-def expand_power(field, m: int, max_expand_m: int | None = None) -> OrePoly:
-    """(x0 X)^m fully expanded by repeated right multiplication.
+def check_expansion(m: int, floor: int, budgets: Budgets) -> None:
+    """Refuse the a_t, t >= floor, of (x0 X)^m if their largest component,
+    (m, m - max(floor, 1)), has more words than max_component_dim: a_0 is
+    zero for m >= 1, so the full expansion (floor 0) fills (m, m - 1)."""
+    d = m - max(floor, 1)
+    dim, cap = count_words(m, d), budgets.max_component_dim
+    if dim > cap:
+        raise BudgetExceeded(f"(x0 X)^{m} from X^{floor} up reaches component "
+                             f"({m}, {d}) of {dim} words (budget {cap})",
+                             component_dim=dim)
 
-    Term counts grow like the Catalan numbers, so the full expansion is
-    refused above the budget; use expand_power_window for large m.
-    """
+
+def expand_power(field, m: int, budgets: Budgets = DEFAULT_BUDGETS):
+    """(x0 X)^m fully expanded by repeated right multiplication, an OrePoly.
+
+    Term counts grow like the Catalan numbers; an m whose a_1 has more words
+    than max_component_dim is refused before the first product
+    (`check_expansion`), and expand_power_window takes a higher floor."""
     if m < 0:
         raise ValueError("exponent must be >= 0")
-    cap = DEFAULT_BUDGETS.max_expand_m if max_expand_m is None else max_expand_m
-    if m > cap:
-        raise BudgetExceeded(
-            f"full expansion refused for m={m} (budget {cap}); "
-            "use expand_power_window with an exponent floor",
-            m=m,
-            max_expand_m=cap,
-        )
+    check_expansion(m, 0, budgets)
     ring = ShiftDerivation(field)
     step = OrePoly(ring, {1: FreePoly.generator(field, 0)})
     out = OrePoly.one(ring)
@@ -247,9 +255,11 @@ def window_terms(field, m: int, floor: int):
                    list(map(reduce, map(nv.__mul__, nus))))
 
 
-def expand_power_window(field, m: int, floor: int) -> dict[int, FreePoly]:
-    """Coefficients a_t of (x0 X)^m for all t >= floor, in closed form: the
-    runs of `window_terms` collected, keyed by descending t."""
+def expand_power_window(field, m: int, floor: int,
+                        budgets: Budgets = DEFAULT_BUDGETS) -> dict:
+    """Coefficients a_t of (x0 X)^m for all t >= floor in closed form, once
+    `check_expansion` admits them: `window_terms` collected, t descending."""
+    check_expansion(m, floor, budgets)
     out: dict[int, dict] = {}
     for t, words, weights in window_terms(field, m, floor):
         out.setdefault(t, {}).update(zip(words, weights))

@@ -5,13 +5,14 @@ import time
 import pytest
 
 from dpring.cli import (
+    _BUDGET_KEYS,
     ConfigError,
     build_run_config,
     main,
     parse_config_text,
 )
 from dpring.fields import PrimeField, RationalField
-from dpring.ore import expand_power, ore_from_text
+from dpring.ore import OrePoly, expand_power, ore_from_text
 
 Q = RationalField()
 
@@ -76,9 +77,12 @@ def test_build_run_config_fields():
 
 
 def test_build_run_config_budgets():
-    cfg = build_run_config({"max_expand_m": 4, "max_basis_size": 99})
-    assert cfg.budgets.max_expand_m == 4
+    cfg = build_run_config({"max_component_dim": 69, "max_basis_size": 99})
+    assert cfg.budgets.max_component_dim == 69
     assert cfg.budgets.max_basis_size == 99
+    # the expansion exponent is no budget of its own: any other key is
+    # refused as unknown
+    assert _BUDGET_KEYS == ("max_component_dim", "max_basis_size")
 
 
 # -- exit statuses -----------------------------------------------------------------
@@ -129,8 +133,8 @@ def test_negative_budget_is_3(capsys, tmp_path):
                                 "--config", cfg])
     assert code == 3
     assert "max_basis_size must be >= 0, got -3" in json.loads(out)["error"]
-    with pytest.raises(ConfigError, match="max_expand_m"):
-        build_run_config({"max_expand_m": -1})
+    with pytest.raises(ConfigError, match="max_component_dim must be >= 0"):
+        build_run_config({"max_component_dim": -1})
     assert build_run_config({"max_component_dim": 0}).budgets.max_component_dim == 0
 
 
@@ -141,14 +145,14 @@ def test_budget_exceeded_is_4(capsys):
 
 
 def test_expand_window_over_max_component_dim_is_4(capsys):
-    # the window's largest component, (30, 30), is refused before a walk
-    # that would not finish
+    # the window's largest component, (30, 29) since a_0 holds no term, is
+    # refused before a walk that would not finish
     start = time.perf_counter()
     code, out, _ = run(capsys, ["expand", "--m", "30", "--window", "0"])
     assert code == 4 and time.perf_counter() - start < 5
     doc = json.loads(out)
     assert doc["schema"] == "dpring.error/1" and doc["status"] == 4
-    assert "component (30, 30)" in doc["error"]
+    assert "component (30, 29)" in doc["error"]
 
 
 def test_inclusions_family_over_max_basis_size_is_4(capsys, tmp_path):
@@ -190,12 +194,16 @@ def test_expand_window(capsys):
 
 
 def test_expand_respects_budget_override(capsys, tmp_path):
-    cfg = write(tmp_path, "w.cfg", "max_expand_m = 4\n")
-    code, _, _ = run(capsys, ["expand", "--m", "4", "--config", cfg])
-    assert code == 0
-    code, out, _ = run(capsys, ["expand", "--m", "5", "--config", cfg])
-    assert code == 4
-    assert "budget 4" in json.loads(out)["error"]
+    # (4, 3) has 20 words and (5, 4) has 70, full or from window floor 0
+    cfg = write(tmp_path, "w.cfg", "max_component_dim = 69\n")
+    for window in ([], ["--window", "0"]):
+        code, _, _ = run(capsys, ["expand", "--m", "4", "--config", cfg,
+                                  *window])
+        assert code == 0
+        code, out, _ = run(capsys, ["expand", "--m", "5", "--config", cfg,
+                                    *window])
+        assert code == 4
+        assert "(5, 4) of 70 words (budget 69)" in json.loads(out)["error"]
 
 
 # -- member ------------------------------------------------------------------------
@@ -404,17 +412,22 @@ def test_series_over_gf(capsys, tmp_path):
     assert json.loads(out)["parameters"]["field"] == "gf(5)"
 
 
-def test_ballot_knob_is_held_to_the_expansion_budget(capsys, tmp_path):
-    cfg = write(tmp_path, "m4.cfg", "max_expand_m = 4\n")
+def test_ballot_knob_is_held_to_the_expansion_budget(capsys, tmp_path,
+                                                      monkeypatch):
+    cfg = write(tmp_path, "m4.cfg", "max_component_dim = 69\n")
     code, _, _ = run(capsys, ["verify", "--campaign", "ballot", "--knob",
                               "m_max=4", "--config", cfg])
     assert code == 0
+
+    def product(*args):
+        raise AssertionError("an Ore product was formed")
+    monkeypatch.setattr(OrePoly, "__mul__", product)
     start = time.perf_counter()
     code, out, _ = run(capsys, ["verify", "--campaign", "ballot", "--knob",
                                 "m_max=5", "--config", cfg])
-    assert time.perf_counter() - start < 1  # refused before any expansion
+    assert time.perf_counter() - start < 1  # refused before any product
     assert code == 4
-    assert "budget 4" in json.loads(out)["error"]
+    assert "(5, 4) of 70 words (budget 69)" in json.loads(out)["error"]
 
 
 # -- output and determinism --------------------------------------------------------------

@@ -126,6 +126,18 @@ def test_verify_ballot_gf2():
     assert rep.verdict == "pass"
 
 
+def test_verify_ballot_refuses_before_any_product(monkeypatch):
+    # (5, 4), the largest component of (x0 X)^5, has 70 words
+    from dpring.budgets import BudgetExceeded
+
+    def reached(*args):
+        raise AssertionError("an expansion ran")
+    monkeypatch.setattr(OrePoly, "__mul__", reached)
+    monkeypatch.setattr(harness, "window_terms", reached)
+    with pytest.raises(BudgetExceeded, match=r"\(5, 4\) of 70 words"):
+        verify_ballot(Q, m_max=5, budgets=Budgets(max_component_dim=69))
+
+
 def _drop(runs, i):
     t, words, weights = runs[i]
     runs[i] = (t, words[1:], weights[1:])
@@ -360,9 +372,9 @@ def test_escape_descent_materialises_no_coefficient(monkeypatch):
     # the one window the descent expands is the cross-check's: a_m and a_m-1
     windows = []
 
-    def window(field, m, floor):
+    def window(field, m, floor, budgets):
         windows.append((m, floor))
-        return expand_power_window(field, m, floor)
+        return expand_power_window(field, m, floor, budgets)
     monkeypatch.setattr(harness, "expand_power_window", window)
     rep = locate_escape(ConstructionParams(3, 2, 2, Q), k=2, h=1)
     assert rep.verdict == "pass"
@@ -852,7 +864,12 @@ def test_run_campaign_rejects_unknown_knob():
 
 def test_budget_propagates():
     from dpring.budgets import BudgetExceeded
-    tight = Budgets(max_expand_m=2, max_component_dim=10, max_basis_size=10)
+    tight = Budgets(max_component_dim=10, max_basis_size=10)
     with pytest.raises(BudgetExceeded):
         run_campaign("counterexample", P10, budgets=tight,
                      knobs={"h_max": 1, "products": 1})
+    # (3, 2) has 6 words, (4, 3) 20
+    assert run_campaign("ballot", budgets=tight,
+                        knobs={"m_max": 3}).verdict == "pass"
+    with pytest.raises(BudgetExceeded, match=r"\(4, 3\) of 20 words"):
+        run_campaign("ballot", budgets=tight, knobs={"m_max": 4})

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpring.budgets import BudgetExceeded
+from dpring import ore
+from dpring.budgets import BudgetExceeded, Budgets
 from dpring.fields import PrimeField, RationalField
 from dpring.freealg import FreePoly, ShiftDerivation, derive, poly_to_text
 from dpring.ore import (
@@ -194,14 +195,50 @@ def test_expand_power_ballot_and_catalan():
         assert len(words) == comb(2 * m, m) // (m + 1)
 
 
-def test_expand_power_budget_refusal():
-    with pytest.raises(BudgetExceeded):
+class ExpansionRan(Exception):
+    pass
+
+
+@pytest.fixture
+def no_product(monkeypatch):
+    """Raise ExpansionRan where an Ore product or a window walk begins."""
+    def reached(*args):
+        raise ExpansionRan
+    monkeypatch.setattr(OrePoly, "__mul__", reached)
+    monkeypatch.setattr(ore, "window_terms", reached)
+
+
+def test_expand_power_budget_refusal(no_product):
+    # (4, 3) has 20 words and (5, 4) has 70
+    tight = Budgets(max_component_dim=69)
+    with pytest.raises(BudgetExceeded, match=r"component \(5, 4\) of 70 words"):
+        expand_power(Q, 5, tight)
+    with pytest.raises(BudgetExceeded, match=r"\(17, 16\) of 601080390 words"):
         expand_power(Q, 17)
-    with pytest.raises(BudgetExceeded):
-        expand_power(Q, 5, max_expand_m=4)
-    expand_power(Q, 5, max_expand_m=5)
     with pytest.raises(ValueError):
         expand_power(Q, -1)
+    with pytest.raises(ExpansionRan):
+        expand_power(Q, 4, tight)
+
+
+@pytest.mark.parametrize("cap", [0, 1, 20, 69, 1_000_000])
+def test_full_and_window_expansions_refuse_together(cap, no_product):
+    # admitted calls reach the product or the walk, refused ones neither; a
+    # full expansion and a window from floor 0 or 1 all fill (m, m - 1)
+    budgets = Budgets(max_component_dim=cap)
+    for m in range(1, 15):
+        outcomes = set()
+        for expand in (lambda: expand_power(Q, m, budgets),
+                       lambda: expand_power_window(Q, m, 0, budgets),
+                       lambda: expand_power_window(Q, m, 1, budgets)):
+            try:
+                expand()
+            except BudgetExceeded:
+                outcomes.add("refused")
+            except ExpansionRan:
+                outcomes.add("admitted")
+        assert outcomes == {"refused" if comb(2 * m - 2, m - 1) > cap
+                            else "admitted"}, (m, cap)
 
 
 def test_window_agrees_with_full_expansion():
